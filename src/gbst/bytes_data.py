@@ -11,7 +11,7 @@ documented risk of reusing the byte vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,9 +1,10 @@
 """Analytic forward-pass FLOP counts and measured training-step timing.
 
-Convention: one multiply-add counts as 2 FLOPs; softmax and normalization
-are folded into the closed-form terms below (see README formula sheet).
-Absolute numbers are convention-bound; only ratios between configurations
-of this artifact are meaningful.
+Convention: one multiply-add counts as 2 FLOPs. The closed-form formula of
+every term is written out in ``count_flops``, one ``bd[...]`` line per term;
+softmax and normalization are not counted separately. Absolute numbers are
+convention-bound; only ratios between configurations of this artifact are
+meaningful.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import statistics
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +52,9 @@ def count_flops(
     """Closed-form forward FLOPs per example at byte length ``seq_len``.
 
     Encoder terms use the downsampled length L' = floor(L / d_s) when the
-    gbst frontend is active; the decoder runs at the span-corruption target
-    length. The per-term formulas are listed in the README formula sheet.
+    gbst frontend is active. The decoder terms count one teacher-forced pass
+    over the span-corruption target length, as in training. The formula of
+    each term is its ``bd[...]`` assignment below.
     """
     d, f = stack.d_model, stack.ffn_dim
     L = seq_len

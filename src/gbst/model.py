@@ -10,14 +10,13 @@ embedding ("identity", the undownsampled baseline).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .bytes_data import VOCAB_SIZE, ByteSequence, SpanCorruptionExample, is_sentinel, sentinel_id
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TapeError
 from .subword import GbstConfig, GbstOutput, GbstParams, gbst_forward
 from .tensor import Parameter, Tensor, no_grad
 
@@ -25,6 +24,7 @@ BOS_ID = sentinel_id(0)  # 255 doubles as the decoder start token
 ATTN_MASK_VALUE = -1e9  # large finite negative; exp() underflows to exactly 0.0
 
 CHECKPOINT_MAGIC = b"GBSTCKPT1\n"
+CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -168,33 +168,46 @@ class ModelState:
             p.tensor.grad = None
 
 
+class KVCache:
+    """Keys and values that earlier ``decode_stack`` calls projected.
+
+    Per attention prefix it holds the self-attention K/V of every position
+    decoded so far, and the cross-attention K/V of the encoder memory, which
+    are projected on the first call only. ``length`` counts the decoded
+    positions. The cache serves inference: its arrays carry no gradient.
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.memory: Tensor | None = None
+        self.kv: dict[str, tuple[Tensor, Tensor]] = {}
+
+
 def _attention(
     x_q: Tensor,
     x_kv: Tensor,
     state: ModelState,
     prefix: str,
-    mask: Tensor | None = None,
+    mask: np.ndarray | None = None,
     collect: list | None = None,
+    cache: KVCache | None = None,
 ) -> Tensor:
-    stack = state.stack
-    h, hd = stack.heads, stack.head_dim
+    """Multi-head attention of ``x_q`` over ``x_kv``. With a cache,
+    self-attention (``x_kv is x_q``) appends the K/V of the new rows to the
+    cached ones, and cross-attention reuses the K/V of its first call."""
     q = T.matmul(x_q, state[f"{prefix}.wq"].tensor)
-    k = T.matmul(x_kv, state[f"{prefix}.wk"].tensor)
-    v = T.matmul(x_kv, state[f"{prefix}.wv"].tensor)
-    scale = 1.0 / math.sqrt(hd)
-    outs = []
-    for i in range(h):
-        qs = T.slice_cols(q, i * hd, (i + 1) * hd)
-        ks = T.slice_cols(k, i * hd, (i + 1) * hd)
-        vs = T.slice_cols(v, i * hd, (i + 1) * hd)
-        scores = T.mul(T.matmul(qs, T.transpose_2d(ks)), scale)
-        if mask is not None:
-            scores = T.add(scores, mask)
-        probs = T.softmax_last_axis(scores)
-        if collect is not None:
-            collect.append(probs.data)
-        outs.append(T.matmul(probs, vs))
-    merged = outs[0] if h == 1 else T.concat_last_axis(outs)
+    cached = cache.kv.get(prefix) if cache is not None else None
+    if cached is not None and x_kv is not x_q:
+        k, v = cached
+    else:
+        k = T.matmul(x_kv, state[f"{prefix}.wk"].tensor)
+        v = T.matmul(x_kv, state[f"{prefix}.wv"].tensor)
+        if cached is not None:
+            k = T.constant(np.concatenate([cached[0].data, k.data]))
+            v = T.constant(np.concatenate([cached[1].data, v.data]))
+        if cache is not None:
+            cache.kv[prefix] = (k, v)
+    merged = T.multi_head_attention(q, k, v, state.stack.heads, mask, collect)
     return T.matmul(merged, state[f"{prefix}.wo"].tensor)
 
 
@@ -207,17 +220,18 @@ def _ln(x: Tensor, state: ModelState, prefix: str) -> Tensor:
     return T.layer_norm(x, state[f"{prefix}.gain"].tensor, state[f"{prefix}.bias"].tensor)
 
 
-def _positions(state: ModelState, table: str, length: int) -> Tensor:
-    if length > state.stack.max_positions:
+def _positions(state: ModelState, table: str, start: int, stop: int) -> Tensor:
+    if stop > state.stack.max_positions:
         raise ShapeError(
-            f"sequence length {length} exceeds max_positions {state.stack.max_positions}"
+            f"sequence length {stop} exceeds max_positions {state.stack.max_positions}"
         )
-    return T.slice_rows(state[table].tensor, 0, length)
+    return T.slice_rows(state[table].tensor, start, stop)
 
 
-def causal_mask(n: int) -> Tensor:
-    m = np.triu(np.full((n, n), ATTN_MASK_VALUE), k=1)
-    return T.constant(m)
+def causal_mask(n: int, cached: int) -> np.ndarray:
+    """Additive mask of ``n`` new positions over ``cached`` earlier ones plus
+    themselves: position ``cached + r`` sees keys 0..cached + r."""
+    return np.triu(np.full((n, cached + n), ATTN_MASK_VALUE), k=cached + 1)
 
 
 def encode_stack(state: ModelState, x: Tensor, collect_attn: list | None = None) -> Tensor:
@@ -226,7 +240,7 @@ def encode_stack(state: ModelState, x: Tensor, collect_attn: list | None = None)
     n = x.shape[0]
     if n < 1:
         raise ShapeError("encoder input must be non-empty")
-    x = T.add(x, _positions(state, "pos_enc", n))
+    x = T.add(x, _positions(state, "pos_enc", 0, n))
     for i in range(state.stack.encoder_layers):
         normed = _ln(x, state, f"enc{i}.ln1")
         x = T.add(x, _attention(normed, normed, state, f"enc{i}.attn", collect=collect_attn))
@@ -256,22 +270,44 @@ def decode_stack(
     memory: Tensor,
     dec_input_ids: list[int],
     collect_attn: list | None = None,
+    cache: KVCache | None = None,
 ) -> Tensor:
-    """Teacher-forced decoder: causal self-attention, cross-attention to the
-    encoder memory, FFN; returns logits over all 256 byte ids per position."""
+    """Decoder: causal self-attention, cross-attention to the encoder memory,
+    FFN; returns logits over all 256 byte ids for each position of
+    ``dec_input_ids``.
+
+    Without a cache this is the teacher-forced pass over a whole prefix.
+    With a ``KVCache`` it is incremental: ``dec_input_ids`` are the next
+    positions after the ``cache.length`` already decoded, they attend to the
+    cached self-attention K/V and to the memory K/V projected on the first
+    call, and the cache grows by them. A cache needs ``no_grad`` and the same
+    ``memory`` on every call.
+    """
     if not dec_input_ids:
         raise ShapeError("decoder prefix must be non-empty")
     if memory.shape[0] < 1:
         raise ShapeError("decoder requires a non-empty encoder memory")
+    t = 0
+    if cache is not None:
+        if T.grad_enabled():
+            raise TapeError("a K/V cache carries no gradient; decode under no_grad()")
+        if cache.memory is None:
+            cache.memory = memory
+        elif cache.memory is not memory:
+            raise ConfigError("the K/V cache holds the keys of another encoder memory")
+        t = cache.length
     n = len(dec_input_ids)
     x = T.embedding_gather(state["embedding"].tensor, dec_input_ids)
-    x = T.add(x, _positions(state, "pos_dec", n))
-    mask = causal_mask(n)
+    x = T.add(x, _positions(state, "pos_dec", t, t + n))
+    mask = causal_mask(n, t)
     for i in range(state.stack.decoder_layers):
         normed = _ln(x, state, f"dec{i}.ln1")
-        x = T.add(x, _attention(normed, normed, state, f"dec{i}.self", mask=mask, collect=collect_attn))
-        x = T.add(x, _attention(_ln(x, state, f"dec{i}.ln2"), memory, state, f"dec{i}.cross", collect=collect_attn))
+        x = T.add(x, _attention(normed, normed, state, f"dec{i}.self", mask, collect_attn, cache))
+        normed = _ln(x, state, f"dec{i}.ln2")
+        x = T.add(x, _attention(normed, memory, state, f"dec{i}.cross", None, collect_attn, cache))
         x = T.add(x, _ffn(_ln(x, state, f"dec{i}.ln3"), state, f"dec{i}.ffn"))
+    if cache is not None:
+        cache.length = t + n
     return T.matmul(x, state["out_proj"].tensor)
 
 
@@ -301,6 +337,11 @@ def greedy_decode(
 ) -> ByteSequence:
     """Argmax decoding from the BOS sentinel.
 
+    Decoding is incremental: each step runs ``decode_stack`` on the one byte
+    emitted last, against a ``KVCache`` of the earlier positions, so a step
+    costs one decoder position. Its logits equal those of a teacher-forced
+    pass over the emitted prefix up to float64 rounding.
+
     The terminal sentinel is structurally indistinguishable from a span
     delimiter, so when the caller knows the span count the decode stops at
     the (span_count + 1)-th sentinel emitted; otherwise it runs to max_len.
@@ -309,13 +350,13 @@ def greedy_decode(
         raise ConfigError("max_len must be >= 1")
     out: list[int] = []
     sentinels_seen = 0
+    cache = KVCache()
     with no_grad():
-        prefix = [BOS_ID]
+        nxt = BOS_ID
         for _ in range(max_len):
-            logits = decode_stack(state, memory, prefix)
+            logits = decode_stack(state, memory, [nxt], None, cache)
             nxt = int(np.argmax(logits.data[-1]))
             out.append(nxt)
-            prefix.append(nxt)
             if is_sentinel(nxt):
                 sentinels_seen += 1
                 if stop_after_spans is not None and sentinels_seen >= stop_after_spans + 1:
@@ -332,7 +373,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
     """Self-describing container: magic line, JSON header with configs and
     parameter shapes, then raw little-endian float64 blobs in header order."""
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "step": state.step,
         "stack": asdict(state.stack),
         "gbst": asdict(state.gbst) if state.gbst is not None else None,
@@ -357,10 +398,15 @@ def load_checkpoint(path: str) -> ModelState:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
         header_len = int(fh.readline().strip())
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"{path} has checkpoint version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
+            )
         stack = StackConfig(**header["stack"])
         gbst = GbstConfig(**header["gbst"]) if header["gbst"] is not None else None
         state = ModelState(stack, gbst, seed=0, run_config=header.get("run_config") or {})
         state.step = int(header["step"])
+        missing = set(state.params)
         for meta in header["params"]:
             name, shape = meta["name"], tuple(meta["shape"])
             count = int(np.prod(shape)) if shape else 1
@@ -372,4 +418,9 @@ def load_checkpoint(path: str) -> ModelState:
             if state.params[name].data.shape != shape:
                 raise ConfigError(f"{path}: shape mismatch for {name}")
             state.params[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            missing.discard(name)
+        if missing:
+            raise ConfigError(f"{path} has no values for {', '.join(sorted(missing))}")
+        if fh.read(1):
+            raise ConfigError(f"{path} has trailing bytes after the last parameter")
     return state

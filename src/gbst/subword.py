@@ -19,7 +19,7 @@ values and participate in the softmax like any other candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

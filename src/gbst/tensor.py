@@ -108,6 +108,11 @@ def reset_tape() -> None:
     _tape = Tape()
 
 
+def grad_enabled() -> bool:
+    """Whether ops record to the tape (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (forward values still computed)."""
@@ -423,6 +428,81 @@ def softmax_last_axis(x: Tensor) -> Tensor:
         _accumulate(x, y * (g - dot))
 
     return _record("softmax_last_axis", y, (x,), _bw)
+
+
+def multi_head_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    heads: int,
+    mask: np.ndarray | None = None,
+    collect: list | None = None,
+) -> Tensor:
+    """Scaled dot-product attention over ``heads`` column groups, as one op.
+
+    ``q`` is (n, heads*hd) and ``k``/``v`` are (m, heads*hd); head i owns
+    columns [i*hd, (i+1)*hd). ``mask`` is an optional constant additive
+    (n, m) array. Returns the (n, heads*hd) head outputs side by side.
+    ``collect`` receives the (n, m) probability matrix of each head.
+
+    The products run per head as 2-D matmuls on contiguous copies, in the
+    operand layouts of the per-head chain of slice, transpose, matmul, scale,
+    mask, softmax and concat ops, which the tests keep as the reference: this
+    op is bit-identical to that chain, forward and backward, where a batched
+    3-D matmul would round differently.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"attention expects 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    n, width = q.shape
+    m = k.shape[0]
+    if heads < 1 or width % heads:
+        raise ShapeError(f"width {width} does not split into {heads} heads")
+    if k.shape != (m, width) or v.shape != (m, width):
+        raise ShapeError(f"k and v must be ({m}, {width}), got {k.shape} and {v.shape}")
+    if mask is not None and np.shape(mask) != (n, m):
+        raise ShapeError(f"mask must have shape ({n}, {m}), got {np.shape(mask)}")
+    hd = width // heads
+    scale = 1.0 / math.sqrt(hd)
+    qh = q.data.reshape(n, heads, hd).transpose(1, 0, 2).copy()  # (h, n, hd)
+    kt = k.data.reshape(m, heads, hd).transpose(1, 2, 0).copy()  # (h, hd, m)
+    vh = v.data.reshape(m, heads, hd).transpose(1, 0, 2).copy()  # (h, m, hd)
+    # softmax in place in one buffer, which becomes the probabilities
+    probs = np.empty((heads, n, m))
+    for i in range(heads):
+        np.matmul(qh[i], kt[i], out=probs[i])
+    probs *= scale
+    if mask is not None:
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    oh = np.empty((heads, n, hd))
+    for i in range(heads):
+        np.matmul(probs[i], vh[i], out=oh[i])
+    if collect is not None:
+        collect.extend(probs)
+    out = oh.transpose(1, 0, 2).reshape(n, width)
+
+    def _bw(g):
+        go = g.reshape(n, heads, hd).transpose(1, 0, 2).copy()
+        gs = np.empty((heads, n, m))
+        gq = np.empty((n, heads, hd))
+        gk = np.empty((m, heads, hd))
+        gv = np.empty((m, heads, hd))
+        for i in range(heads):
+            np.matmul(go[i], vh[i].T, out=gs[i])
+            gv[:, i] = probs[i].T @ go[i]
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        for i in range(heads):
+            gq[:, i] = gs[i] @ kt[i].T
+            gk[:, i] = (qh[i].T @ gs[i]).T
+        _accumulate(q, gq.reshape(n, width))
+        _accumulate(k, gk.reshape(m, width))
+        _accumulate(v, gv.reshape(m, width))
+
+    return _record("multi_head_attention", out, (q, k, v), _bw)
 
 
 def embedding_gather(table: Tensor, ids) -> Tensor:

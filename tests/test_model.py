@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gbst import tensor as T
 from gbst.bytes_data import ByteSequence, corrupt_spans, encode
-from gbst.errors import ConfigError, ShapeError
+from gbst.errors import ConfigError, ShapeError, TapeError
 from gbst.gradcheck import DEFAULT_TOLERANCE, REQUIRED_GROUPS, run_suite
 from gbst.model import (
     BOS_ID,
+    CHECKPOINT_MAGIC,
+    KVCache,
     ModelState,
     StackConfig,
     decode_stack,
@@ -116,6 +120,53 @@ def test_greedy_decode_max_len_one_and_determinism():
     assert b.ids == c.ids
 
 
+def test_cached_greedy_decode_matches_teacher_forced_pass():
+    state = desk_state()
+    with no_grad():
+        memory, _ = encode_input(state, encode("incremental decoding keeps the logits").ids)
+    emitted = greedy_decode(state, memory, max_len=40).ids
+    prefix = [BOS_ID] + emitted[:-1]
+    with no_grad():
+        full = decode_stack(state, memory, prefix).data
+        for chunk in (1, 7):  # one position per call, and several past a cache
+            cache, parts = KVCache(), []
+            for start in range(0, len(prefix), chunk):
+                ids, attn = prefix[start : start + chunk], []
+                parts.append(decode_stack(state, memory, ids, attn, cache).data)
+                n = len(ids)
+                per_layer = [(n, start + n)] * DESK.heads + [(n, memory.shape[0])] * DESK.heads
+                assert [p.shape for p in attn] == per_layer * DESK.decoder_layers
+            incremental = np.concatenate(parts)
+            assert cache.length == len(prefix)
+            assert np.abs(incremental - full).max() <= 1e-10
+            assert list(incremental.argmax(axis=1)) == emitted
+    assert list(full.argmax(axis=1)) == emitted
+
+
+def test_greedy_decode_max_positions_limit_unchanged():
+    stack = StackConfig(frontend="identity", max_positions=8)
+    state = ModelState(stack, None, seed=0)
+    with no_grad():
+        memory, _ = encode_input(state, encode("ctx").ids)
+    assert len(greedy_decode(state, memory, max_len=8).ids) == 8
+    with pytest.raises(ShapeError):
+        greedy_decode(state, memory, max_len=9)
+
+
+def test_kv_cache_rejects_gradients_and_a_different_memory():
+    state = desk_state()
+    with no_grad():
+        memory, _ = encode_input(state, encode("one memory").ids)
+        other, _ = encode_input(state, encode("another memory").ids)
+    with pytest.raises(TapeError):
+        decode_stack(state, memory, [BOS_ID], None, KVCache())
+    cache = KVCache()
+    with no_grad():
+        decode_stack(state, memory, [BOS_ID], None, cache)
+        with pytest.raises(ConfigError):
+            decode_stack(state, other, [BOS_ID], None, cache)
+
+
 def test_checkpoint_round_trip_bit_identical():
     state = desk_state(seed=3)
     state.step = 17
@@ -139,6 +190,45 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"not a checkpoint")
     with pytest.raises(ConfigError):
         load_checkpoint(str(p))
+
+
+def rewrite_checkpoint(src, dst, header_update, drop=None, tail=b""):
+    """Copy a checkpoint with ``header_update`` applied to its JSON header,
+    parameter ``drop`` removed from header and blobs, and ``tail`` appended."""
+    rest = src.read_bytes()[len(CHECKPOINT_MAGIC) :]
+    size_line, rest = rest.split(b"\n", 1)
+    header_len = int(size_line)
+    header = json.loads(rest[:header_len])
+    kept, off = [], header_len
+    for meta in header["params"]:
+        size = 8 * int(np.prod(meta["shape"]))
+        if meta["name"] != drop:
+            kept.append((meta, rest[off : off + size]))
+        off += size
+    header["params"] = [meta for meta, _ in kept]
+    header.update(header_update)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    blobs = b"".join(blob for _, blob in kept)
+    dst.write_bytes(CHECKPOINT_MAGIC + f"{len(text)}\n".encode("ascii") + text + blobs + tail)
+
+
+@pytest.mark.parametrize(
+    "header_update, drop, tail",
+    [
+        ({}, None, b"\x00"),  # trailing bytes after the last blob
+        ({"version": 2}, None, b""),  # a version this loader does not know
+        ({}, "out_proj", b""),  # a parameter the header omits
+    ],
+    ids=["trailing_bytes", "unknown_version", "omitted_parameter"],
+)
+def test_checkpoint_rejects_malformed_files(tmp_path, header_update, drop, tail):
+    good, bad = tmp_path / "good.gbst", tmp_path / "bad.gbst"
+    save_checkpoint(desk_state(seed=1), str(good))
+    rewrite_checkpoint(good, good, {})
+    load_checkpoint(str(good))  # the rewrite itself keeps a checkpoint valid
+    rewrite_checkpoint(good, bad, header_update, drop, tail)
+    with pytest.raises(ConfigError):
+        load_checkpoint(str(bad))
 
 
 def test_gradcheck_both_frontends():

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbst import tensor as T
 from gbst.errors import ConfigError, NonFiniteError, ShapeError, TapeError
@@ -191,6 +195,89 @@ def test_softmax_gradient_vs_fd():
     x = Parameter("x", rng.normal(size=(1, 4)))
     w = Tensor(rng.normal(size=(1, 4)))
     check_op_grad(lambda: T.sum_all(T.mul(T.softmax_last_axis(x.tensor), w)), [x])
+
+
+# --- multi_head_attention ---------------------------------------------------
+
+
+def unfused_attention(q, k, v, heads, mask=None):
+    """The per-head op chain that multi_head_attention replaces."""
+    hd = q.shape[1] // heads
+    scale = 1.0 / math.sqrt(hd)
+    outs = []
+    for i in range(heads):
+        qs = T.slice_cols(q, i * hd, (i + 1) * hd)
+        ks = T.slice_cols(k, i * hd, (i + 1) * hd)
+        vs = T.slice_cols(v, i * hd, (i + 1) * hd)
+        scores = T.mul(T.matmul(qs, T.transpose_2d(ks)), scale)
+        if mask is not None:
+            scores = T.add(scores, T.constant(mask))
+        outs.append(T.matmul(T.softmax_last_axis(scores), vs))
+    return outs[0] if heads == 1 else T.concat_last_axis(outs)
+
+
+def random_mask(rng, n, m):
+    """Finite additive mask with about a third of the entries blocked."""
+    return np.where(rng.random((n, m)) < 0.3, -1e9, rng.normal(size=(n, m)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 130),
+    m=st.integers(1, 260),
+    heads=st.sampled_from([1, 2, 4]),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_bit_identical_to_unfused_chain(n, m, heads, masked, seed):
+    rng = np.random.default_rng(seed)
+    width = heads * 16
+    arrays = [rng.normal(size=shape) for shape in ((n, width), (m, width), (m, width))]
+    w = Tensor(rng.normal(size=(n, width)))
+    mask = random_mask(rng, n, m) if masked else None
+    results = []
+    for attend in (unfused_attention, T.multi_head_attention):
+        reset_tape()
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = attend(q, k, v, heads, mask)
+        backward(T.sum_all(T.mul(out, w)))
+        results.append([out.data, q.grad, k.grad, v.grad])
+    for fused, chain in zip(results[1], results[0]):
+        assert fused.tobytes() == chain.tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_gradient_vs_fd(masked):
+    rng = np.random.default_rng(14)
+    q = Parameter("q", rng.normal(size=(3, 6)))
+    k = Parameter("k", rng.normal(size=(4, 6)))
+    v = Parameter("v", rng.normal(size=(4, 6)))
+    w = Tensor(rng.normal(size=(3, 6)))
+    mask = np.triu(np.full((3, 4), -1e9), k=2) if masked else None
+    check_op_grad(
+        lambda: T.sum_all(T.mul(T.multi_head_attention(q.tensor, k.tensor, v.tensor, 2, mask), w)),
+        [q, k, v],
+    )
+
+
+def test_attention_one_record_and_collected_probabilities():
+    rng = np.random.default_rng(15)
+    q, k, v = (Tensor(rng.normal(size=(r, 8)), requires_grad=True) for r in (3, 5, 5))
+    probs = []
+    T.multi_head_attention(q, k, v, 4, collect=probs)
+    assert len(T.active_tape()) == 1
+    assert len(probs) == 4 and all(p.shape == (3, 5) for p in probs)
+    npt.assert_allclose(np.sum(probs, axis=-1), 1.0, atol=1e-12)
+
+
+def test_attention_shape_errors():
+    x = Tensor(np.zeros((3, 8)))
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(x, x, x, 3)
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(x, Tensor(np.zeros((3, 4))), x, 2)
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(x, x, x, 2, mask=np.zeros((3, 4)))
 
 
 # --- repeat_upsample --------------------------------------------------------
