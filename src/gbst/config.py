@@ -53,47 +53,22 @@ class RunConfig:
     out_dir: str = "runs/latest"
 
     def gbst_config(self) -> GbstConfig | None:
-        if self.frontend != "gbst":
-            return None
-        return GbstConfig(
-            embedding_dim=self.embedding_dim,
-            max_block_size=self.max_block_size,
-            downsample_rate=self.downsample_rate,
-            conv_kernel_size=self.conv_kernel_size,
-            enable_offsets=self.enable_offsets,
-            enable_calibration=self.enable_calibration,
-        )
+        return _build(GbstConfig, self) if self.frontend == "gbst" else None
 
     def stack_config(self) -> StackConfig:
-        return StackConfig(
-            encoder_layers=self.encoder_layers,
-            decoder_layers=self.decoder_layers,
-            d_model=self.embedding_dim,
-            heads=self.heads,
-            head_dim=self.head_dim,
-            ffn_dim=self.ffn_dim,
-            frontend=self.frontend,
-            max_positions=self.max_positions,
-        )
+        return _build(StackConfig, self)
 
     def train_config(self) -> TrainConfig:
         if self.learning_rate is None or self.schedule is None:
             raise ConfigError("learning_rate/schedule unresolved; call resolve_for first")
-        return TrainConfig(
-            batch_size=self.batch_size,
-            steps=self.steps,
-            learning_rate=self.learning_rate,
-            schedule=self.schedule,
-            warmup=self.warmup,
-            seed=self.seed,
-            freeze_gbst=self.freeze_gbst,
-            optimizer=self.optimizer,
-            grad_clip=self.grad_clip,
-            corruption_rate=self.corruption_rate,
-            mean_span=self.mean_span,
-            window_len=self.window_len,
-            checkpoint_every=self.checkpoint_every,
-        )
+        return _build(TrainConfig, self)
+
+
+def _build(cls, cfg: RunConfig):
+    """``cls`` filled from the RunConfig keys of the same name (``d_model`` from
+    ``embedding_dim``); fields that have no key keep their defaults."""
+    keys = {f.name: "embedding_dim" if f.name == "d_model" else f.name for f in fields(cls)}
+    return cls(**{name: getattr(cfg, key) for name, key in keys.items() if key in _FIELDS})
 
 
 # commands fill LR defaults differently: pre-training decays from a higher

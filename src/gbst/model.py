@@ -396,19 +396,24 @@ def load_checkpoint(path: str) -> ModelState:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
-        header_len = int(fh.readline().strip())
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"{path} has checkpoint version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
-            )
-        stack = StackConfig(**header["stack"])
-        gbst = GbstConfig(**header["gbst"]) if header["gbst"] is not None else None
+        try:
+            header = json.loads(fh.read(int(fh.readline())).decode("utf-8"))
+            version = header.get("version")
+        except (AttributeError, ValueError) as err:  # ValueError covers JSON and UTF-8 too
+            raise ConfigError(f"{path} has a malformed header: {err}")
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"{path} has checkpoint version {version!r}, expected {CHECKPOINT_VERSION}")
+        try:
+            stack = StackConfig(**header["stack"])
+            gbst = GbstConfig(**header["gbst"]) if header["gbst"] is not None else None
+            step = int(header["step"])
+            metas = [(m["name"], tuple(int(s) for s in m["shape"])) for m in header["params"]]
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path} has a malformed header: {type(err).__name__}: {err}")
         state = ModelState(stack, gbst, seed=0, run_config=header.get("run_config") or {})
-        state.step = int(header["step"])
+        state.step = step
         missing = set(state.params)
-        for meta in header["params"]:
-            name, shape = meta["name"], tuple(meta["shape"])
+        for name, shape in metas:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:

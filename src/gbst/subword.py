@@ -6,15 +6,14 @@ linear map, mixes them under a per-position softmax, optionally lets the
 score distributions attend to each other, and mean-pools the result down by
 a fixed rate. Everything is differentiable end to end.
 
-Pipeline per block size b (and per offset o when offsets are enabled):
-
-    shift left by o -> pad rows to a multiple of b -> mean-pool(b, b)
-    -> replicate each pooled row b times -> cut/zero-fill back to length L
-
-Scores are computed on the pooled candidates and then replicated, which is
-equivalent to scoring the replicated rows because the scorer is linear.
-Trailing rows that exist only because of zero padding keep their padded
-values and participate in the softmax like any other candidate.
+Each (block size b, offset o) pair is one candidate stream: drop the first o
+rows, zero-fill to a multiple of b, and take the mean of every block of b
+rows. ``BlockCandidates`` stacks the block means of all streams in one table,
+which three tape ops use: ``block_means`` builds it, ``block_scores`` scores
+every block with the linear scorer (scoring a block equals scoring each of its
+positions), and ``block_mix`` mixes the blocks that cover each position.
+Trailing positions whose block holds zero fill keep that block's value and
+take part in the softmax like any other candidate.
 """
 
 from __future__ import annotations
@@ -77,17 +76,32 @@ def _label(b: int, o: int) -> str:
 
 @dataclass
 class BlockCandidateSet:
-    """One candidate stream: pooled blocks plus their length-L realignment."""
+    """One stream read out as constants: block means, and their value at each position."""
 
     block_size: int
     offset: int
     pooled: Tensor
     realigned: Tensor
-    realigned_scores: Tensor | None = None
 
-    @property
-    def label(self) -> str:
-        return _label(self.block_size, self.offset)
+
+@dataclass
+class BlockCandidates:
+    """Every stream's block means in one (P, d) table: stream c, with block size b
+    and offset o, holds its ceil(L/b) blocks in rows start:stop of
+    ``spans[c] = (b, o, start, stop)``; ``length`` is L."""
+
+    table: Tensor
+    spans: list[tuple[int, int, int, int]]
+    length: int
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def __getitem__(self, c: int) -> BlockCandidateSet:
+        b, o, start, stop = self.spans[c]
+        pooled = self.table.data[start:stop]
+        realigned = np.repeat(pooled, b, axis=0)[: self.length]
+        return BlockCandidateSet(b, o, T.constant(pooled.copy()), T.constant(realigned))
 
 
 @dataclass
@@ -119,16 +133,7 @@ class GbstParams:
     conv_bias: Parameter | None = None
 
     def parameters(self) -> list[Parameter]:
-        out = [self.scorer]
-        if self.conv_filters is not None:
-            out.append(self.conv_filters)
-        if self.conv_bias is not None:
-            out.append(self.conv_bias)
-        return out
-
-    def set_frozen(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.frozen = flag
+        return [p for p in (self.scorer, self.conv_filters, self.conv_bias) if p is not None]
 
 
 def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator, prefix: str = "gbst.") -> GbstParams:
@@ -148,71 +153,27 @@ def _tensor(x) -> Tensor:
     return x.tensor if isinstance(x, Parameter) else x
 
 
-def pad_to_multiple(x: Tensor, b: int) -> Tensor:
-    """Zero-pad rows so the length is the smallest multiple of b >= L."""
-    if b < 1:
-        raise ConfigError(f"block size must be >= 1, got {b}")
-    n = x.shape[0]
-    target = -(-n // b) * b
-    if target == n:
-        return x
-    return T.pad_rows(x, 0, target - n)
-
-
-def _fit_rows(x: Tensor, length: int) -> Tensor:
-    """Zero-fill up to ``length`` if short, then cut back to exactly ``length``."""
-    n = x.shape[0]
-    if n < length:
-        x = T.pad_rows(x, 0, length - n)
-        n = length
-    if n > length:
-        x = T.slice_rows(x, 0, length)
-    return x
-
-
-def enumerate_blocks(x: Tensor, cfg: GbstConfig) -> list[BlockCandidateSet]:
-    """Build every candidate stream for block sizes 1..M (and offsets if enabled).
-
-    An offset-o stream drops the first o rows and zero-pads the tail before
-    running the same pool/replicate pipeline, so each (b, o) pair enters the
-    position-wise softmax as an independent candidate.
-    """
+def enumerate_blocks(x: Tensor, cfg: GbstConfig) -> BlockCandidates:
+    """Pool every candidate stream for block sizes 1..M (and offsets if enabled)
+    into one table of block means. Each (b, o) pair is an independent
+    candidate; an offset at or beyond the length gives an all-zero stream."""
     n = x.shape[0]
     if n < 1:
         raise ShapeError("input must have at least one row")
-    out = []
+    spans, start = [], 0
     for b, o in cfg.stream_keys():
-        # an offset at or beyond the length shifts everything out: zero stream
-        cut = min(o, n)
-        shifted = x if o == 0 else T.pad_rows(T.slice_rows(x, cut, n), 0, cut)
-        padded = pad_to_multiple(shifted, b)
-        pooled = T.mean_pool_1d(padded, b, b)
-        realigned = _fit_rows(T.repeat_upsample(pooled, b), n)
-        out.append(BlockCandidateSet(b, o, pooled, realigned))
-    return out
+        stop = start + -(-n // b)
+        spans.append((b, o, start, stop))
+        start = stop
+    return BlockCandidates(T.block_means(x, spans), spans, n)
 
 
-def score_blocks(candidates: list[BlockCandidateSet], scorer) -> ScoreMatrix:
-    """Score every candidate stream and softmax across streams per position.
-
-    Scores are computed on the pooled (pre-replication) blocks and then
-    replicated; for the linear scorer this equals scoring the replicated rows.
-    """
-    w = _tensor(scorer)
-    d = candidates[0].pooled.shape[1]
-    if w.shape != (d, 1):
-        raise ShapeError(f"scorer must have shape ({d}, 1), got {w.shape}")
-    n = candidates[0].realigned.shape[0]
-    cols = []
-    for c in candidates:
-        if c.realigned.shape[0] != n:
-            raise ShapeError("candidate streams disagree on sequence length")
-        col = _fit_rows(T.repeat_upsample(T.matmul(c.pooled, w), c.block_size), n)
-        c.realigned_scores = col
-        cols.append(col)
-    raw = cols[0] if len(cols) == 1 else T.concat_last_axis(cols)
+def score_blocks(candidates: BlockCandidates, scorer) -> ScoreMatrix:
+    """Score every candidate stream and softmax across streams per position."""
+    raw = T.block_scores(candidates.table, _tensor(scorer), candidates.spans, candidates.length)
     weights = T.softmax_last_axis(raw)
-    return ScoreMatrix(raw=raw, weights=weights, labels=[c.label for c in candidates])
+    labels = [_label(b, o) for b, o, _, _ in candidates.spans]
+    return ScoreMatrix(raw=raw, weights=weights, labels=labels)
 
 
 def calibrate_scores(weights: Tensor) -> Tensor:
@@ -225,19 +186,9 @@ def calibrate_scores(weights: Tensor) -> Tensor:
     return T.matmul(attn, weights)
 
 
-def form_latent(candidates: list[BlockCandidateSet], weights: Tensor) -> Tensor:
+def form_latent(candidates: BlockCandidates, weights: Tensor) -> Tensor:
     """Per-position convex mixture of the realigned candidate embeddings."""
-    c_count = weights.shape[1]
-    if c_count != len(candidates):
-        raise ShapeError(
-            f"weights have {c_count} streams but {len(candidates)} candidates given"
-        )
-    acc = None
-    for i, cand in enumerate(candidates):
-        col = T.slice_cols(weights, i, i + 1)
-        term = T.mul(cand.realigned, col)
-        acc = term if acc is None else T.add(acc, term)
-    return acc
+    return T.block_mix(weights, candidates.table, candidates.spans)
 
 
 def downsample(latent: Tensor, rate: int) -> Tensor:
@@ -248,7 +199,7 @@ def downsample(latent: Tensor, rate: int) -> Tensor:
         raise ShapeError(
             f"sequence length {latent.shape[0]} < downsample rate {rate}: empty output"
         )
-    return T.mean_pool_1d(latent, rate, rate)
+    return T.mean_pool_1d(latent, rate)
 
 
 def gbst_forward(x: Tensor, cfg: GbstConfig, params: GbstParams) -> GbstOutput:

@@ -282,20 +282,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _record("sum_all", np.asarray(out), (x,), _bw)
 
 
-def pad_rows(x: Tensor, before: int, after: int) -> Tensor:
-    """Append zero rows before/after a 2-D tensor."""
-    if before < 0 or after < 0:
-        raise ShapeError("pad_rows amounts must be non-negative")
-    n, d = x.shape
-    out = np.zeros((before + n + after, d))
-    out[before : before + n] = x.data
-
-    def _bw(g):
-        _accumulate(x, g[before : before + n].copy())
-
-    return _record("pad_rows", out, (x,), _bw)
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     n = x.shape[0]
     if not (0 <= start <= stop <= n):
@@ -339,49 +325,123 @@ def concat_last_axis(parts: list[Tensor]) -> Tensor:
     return _record("concat_last_axis", out, tuple(parts), _bw)
 
 
-def repeat_upsample(x: Tensor, factor: int) -> Tensor:
-    """Replicate each row ``factor`` times; backward sums over each group."""
-    if factor < 1:
-        raise ConfigError(f"repeat factor must be >= 1, got {factor}")
-    n, d = x.shape
-    out = np.repeat(x.data, factor, axis=0)
-
-    def _bw(g):
-        _accumulate(x, g.reshape(n, factor, d).sum(axis=1))
-
-    return _record("repeat_upsample", out, (x,), _bw)
-
-
-def mean_pool_1d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Mean over ``window`` consecutive rows at ``stride`` steps (VALID: no
-    implicit padding, remainder rows are dropped)."""
-    if window < 1 or stride < 1:
-        raise ConfigError("window and stride must be >= 1")
+def mean_pool_1d(x: Tensor, window: int) -> Tensor:
+    """Mean over consecutive groups of ``window`` rows (VALID: no implicit
+    padding, remainder rows are dropped)."""
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     n, d = x.shape
     if n < window:
         raise ShapeError(f"input rows {n} < window {window}; pad first")
-    n_out = (n - window) // stride + 1
-    if stride == window:
-        trimmed = x.data[: n_out * window]
-        out = trimmed.reshape(n_out, window, d).mean(axis=1)
-    else:
-        out = np.zeros((n_out, d))
-        for t in range(window):
-            out += x.data[t : t + stride * n_out : stride][:n_out]
-        out /= window
+    n_out = n // window
+    out = x.data[: n_out * window].reshape(n_out, window, d).mean(axis=1)
 
     def _bw(g):
         gx = np.zeros_like(x.data)
-        gw = g / window
-        if stride == window:
-            gx[: n_out * window] = np.repeat(gw, window, axis=0)
-        else:
-            idx = np.arange(n_out) * stride
-            for t in range(window):
-                np.add.at(gx, idx + t, gw)
+        gx[: n_out * window] = np.repeat(g / window, window, axis=0)
         _accumulate(x, gx)
 
     return _record("mean_pool_1d", out, (x,), _bw)
+
+
+# ---------------------------------------------------------------------------
+# block candidates: the block means of every (block size b, offset o) stream
+# stacked in one (P, d) table; ``spans[c] = (b, o, start, stop)`` holds the
+# ceil(L/b) blocks of stream c in rows start:stop. The ops work stream by
+# stream, backward in reverse stream order, with reshape-means and one matmul
+# per stream: a stacked matmul or a cumulative-sum mean rounds differently.
+# ---------------------------------------------------------------------------
+
+
+def _table_rows(spans, n: int, table: Tensor | None = None) -> int:
+    """Rows of the table that the spans tile, stream after stream."""
+    rows = 0
+    for b, o, start, stop in spans:
+        if b < 1 or o < 0 or (start, stop) != (rows, rows + -(-n // b)):
+            raise ShapeError(f"span {(b, o, start, stop)} does not tile a table for length {n}")
+        rows = stop
+    if table is not None and table.shape != (rows, table.shape[-1]):
+        raise ShapeError(f"table of shape {table.shape} does not match the spans")
+    return rows
+
+
+def _realign(blocks: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Each block row repeated b times, cut back to the first n rows."""
+    return np.repeat(blocks, b, axis=0)[:n]
+
+
+def _block_sums(g: np.ndarray, b: int, blocks: int) -> np.ndarray:
+    """Adjoint of ``_realign``: zero-fill g to blocks*b rows, sum each group of b."""
+    full = np.zeros((blocks * b,) + g.shape[1:])
+    full[: g.shape[0]] = g
+    return full.reshape((blocks, b) + g.shape[1:]).sum(axis=1)
+
+
+def block_means(x: Tensor, spans) -> Tensor:
+    """(P, d) table: per stream, the rows of x after the first o, zero-filled
+    to a multiple of b, averaged over each block of b rows."""
+    n, d = x.shape
+    out = np.empty((_table_rows(spans, n), d))
+    for b, o, start, stop in spans:
+        buf = np.zeros(((stop - start) * b, d))
+        buf[: max(n - o, 0)] = x.data[o:]
+        out[start:stop] = buf.reshape(stop - start, b, d).mean(axis=1)
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        for b, o, start, stop in reversed(spans):
+            gx[o:] += np.repeat(g[start:stop] / b, b, axis=0)[: max(n - o, 0)]
+        _accumulate(x, gx)
+
+    return _record("block_means", out, (x,), _bw)
+
+
+def block_scores(table: Tensor, w: Tensor, spans, n: int) -> Tensor:
+    """(L, C) raw scores: every block mean scored by the (d, 1) map ``w``, at
+    each of the L positions its block covers."""
+    if w.shape != (table.shape[1], 1):
+        raise ShapeError(f"scorer must have shape ({table.shape[1]}, 1), got {w.shape}")
+    _table_rows(spans, n, table)
+    out = np.empty((n, len(spans)))
+    for c, (b, o, start, stop) in enumerate(spans):
+        out[:, c] = _realign(table.data[start:stop] @ w.data, b, n)[:, 0]
+
+    def _bw(g):
+        gt = np.empty_like(table.data)
+        for c in reversed(range(len(spans))):
+            b, o, start, stop = spans[c]
+            gs = _block_sums(g[:, c : c + 1], b, stop - start)
+            gt[start:stop] = gs @ w.data.T
+            # one term per stream: w.grad may already hold other examples' terms
+            _accumulate(w, table.data[start:stop].T @ gs)
+        _accumulate(table, gt)
+
+    return _record("block_scores", out, (table, w), _bw)
+
+
+def block_mix(weights: Tensor, table: Tensor, spans) -> Tensor:
+    """(L, d) mixture of the streams' block means at each position under the
+    (L, C) ``weights``."""
+    n, c_count = weights.shape
+    if c_count != len(spans):
+        raise ShapeError(f"weights have {c_count} streams but {len(spans)} candidates given")
+    _table_rows(spans, n, table)
+    w = weights.data
+    out = None
+    for c, (b, o, start, stop) in enumerate(spans):
+        term = _realign(table.data[start:stop], b, n) * w[:, c : c + 1]
+        out = term if out is None else out + term
+
+    def _bw(g):
+        gw = np.empty_like(w)
+        gt = np.empty_like(table.data)
+        for c, (b, o, start, stop) in enumerate(spans):
+            gw[:, c] = (g * _realign(table.data[start:stop], b, n)).sum(axis=1)
+            gt[start:stop] = _block_sums(g * w[:, c : c + 1], b, stop - start)
+        _accumulate(weights, gw)
+        _accumulate(table, gt)
+
+    return _record("block_mix", out, (weights, table), _bw)
 
 
 def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:

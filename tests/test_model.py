@@ -6,6 +6,7 @@ import pytest
 
 from gbst import tensor as T
 from gbst.bytes_data import ByteSequence, corrupt_spans, encode
+from gbst.cli import main
 from gbst.errors import ConfigError, ShapeError, TapeError
 from gbst.gradcheck import DEFAULT_TOLERANCE, REQUIRED_GROUPS, run_suite
 from gbst.model import (
@@ -229,6 +230,38 @@ def test_checkpoint_rejects_malformed_files(tmp_path, header_update, drop, tail)
     rewrite_checkpoint(good, bad, header_update, drop, tail)
     with pytest.raises(ConfigError):
         load_checkpoint(str(bad))
+
+
+def framed(header):
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return f"{len(text)}\n".encode("ascii") + text
+
+
+# header defects: (header, parameter blobs) -> the file after the magic line
+HEADER_DEFECTS = {
+    "length_not_a_number": lambda header, blobs: b"abc\n" + framed(header).split(b"\n", 1)[1] + blobs,
+    "truncated_json": lambda header, blobs: framed(header)[:60],
+    "unknown_stack_key": lambda header, blobs: framed(
+        {**header, "stack": {**header["stack"], "bogus": 1}}
+    ) + blobs,
+    "missing_params_key": lambda header, blobs: framed(
+        {k: v for k, v in header.items() if k != "params"}
+    ) + blobs,
+}
+
+
+@pytest.mark.parametrize("defect", HEADER_DEFECTS.values(), ids=HEADER_DEFECTS.keys())
+def test_checkpoint_header_defects_are_config_errors(tmp_path, capsys, defect):
+    good, bad = tmp_path / "good.gbst", tmp_path / "bad.gbst"
+    save_checkpoint(desk_state(seed=1), str(good))
+    size_line, rest = good.read_bytes()[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
+    header = json.loads(rest[: int(size_line)])
+    bad.write_bytes(CHECKPOINT_MAGIC + defect(header, rest[int(size_line) :]))
+    with pytest.raises(ConfigError, match="bad.gbst"):
+        load_checkpoint(str(bad))
+    argv = ["score-viz", "--checkpoint", str(bad), "--text", "hi", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "bad.gbst" in capsys.readouterr().err
 
 
 def test_gradcheck_both_frontends():

@@ -15,7 +15,6 @@ from gbst.subword import (
     form_latent,
     gbst_forward,
     init_gbst_params,
-    pad_to_multiple,
     score_blocks,
     serialize_scores,
 )
@@ -36,26 +35,6 @@ def clean_tape():
     reset_tape()
     yield
     reset_tape()
-
-
-# --- pad_to_multiple ----------------------------------------------------------
-
-
-def test_pad_already_multiple():
-    x = Tensor(np.ones((8, 2)))
-    assert pad_to_multiple(x, 4) is x
-
-
-def test_pad_appends_zero_rows():
-    out = pad_to_multiple(Tensor(np.ones((7, 2))), 3)
-    assert out.shape == (9, 2)
-    npt.assert_array_equal(out.data[7:], 0.0)
-
-
-def test_pad_large_case():
-    # oracle: smallest multiple of 3 at or above 1024
-    out = pad_to_multiple(Tensor(np.ones((1024, 1))), 3)
-    assert out.shape[0] == -(-1024 // 3) * 3 == 1026
 
 
 # --- enumerate_blocks ---------------------------------------------------------

@@ -145,19 +145,19 @@ def test_conv_gradient_vs_fd():
 
 
 def test_pool_output_length():
-    out = T.mean_pool_1d(Tensor(np.arange(16.0).reshape(8, 2)), 2, 2)
+    out = T.mean_pool_1d(Tensor(np.arange(16.0).reshape(8, 2)), 2)
     assert out.shape == (4, 2)
 
 
 def test_pool_constant():
-    out = T.mean_pool_1d(Tensor(np.full((9, 3), 1.7)), 3, 3)
+    out = T.mean_pool_1d(Tensor(np.full((9, 3), 1.7)), 3)
     npt.assert_allclose(out.data, 1.7, atol=0)
 
 
 def test_pool_matches_loop():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(10, 2))
-    out = T.mean_pool_1d(Tensor(x), 3, 3)
+    out = T.mean_pool_1d(Tensor(x), 3)
     ref = np.zeros((3, 2))  # remainder row dropped (VALID)
     for j in range(3):
         ref[j] = x[3 * j : 3 * j + 3].mean(axis=0)
@@ -166,14 +166,115 @@ def test_pool_matches_loop():
 
 def test_pool_short_input_rejected():
     with pytest.raises(ShapeError):
-        T.mean_pool_1d(Tensor(np.zeros((2, 1))), 3, 3)
+        T.mean_pool_1d(Tensor(np.zeros((2, 1))), 3)
 
 
-def test_pool_gradient_overlapping_windows():
+def test_pool_gradient_with_remainder_row():
+    # 7 rows in windows of 3: the dropped remainder row gets a zero gradient
     rng = np.random.default_rng(5)
     x = Parameter("x", rng.normal(size=(7, 2)))
-    w = Tensor(rng.normal(size=(3, 2)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.mean_pool_1d(x.tensor, 3, 2), w)), [x])
+    w = Tensor(rng.normal(size=(2, 2)))
+    check_op_grad(lambda: T.sum_all(T.mul(T.mean_pool_1d(x.tensor, 3), w)), [x])
+    reset_tape()
+    backward(T.sum_all(T.mul(T.mean_pool_1d(x.tensor, 3), w)))
+    npt.assert_array_equal(x.grad[6], 0.0)
+
+
+# --- block_means / block_scores / block_mix -------------------------------
+
+
+def block_spans(keys, n):
+    """(b, o, start, stop) spans that stack the streams ``keys`` for length n."""
+    spans, start = [], 0
+    for b, o in keys:
+        stop = start + -(-n // b)
+        spans.append((b, o, start, stop))
+        start = stop
+    return spans
+
+
+# length 5 throughout: one stream of b = 1; block sizes that do not divide 5;
+# offsets at and beyond the length (all-zero streams)
+STREAMS = {
+    "single_b1": [(1, 0)],
+    "remainders": [(1, 0), (2, 0), (2, 1), (3, 2)],
+    "offset_past_end": [(2, 0), (4, 3), (4, 5), (4, 6)],
+}
+
+
+@pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
+def test_block_means_match_loop(keys):
+    x = np.random.default_rng(20).normal(size=(5, 3))
+    spans = block_spans(keys, 5)
+    table = T.block_means(Tensor(x), spans).data
+    for b, o, start, stop in spans:
+        for j in range(stop - start):
+            block = np.zeros((b, 3))
+            rows = x[o + j * b : min(o + (j + 1) * b, 5)]
+            block[: len(rows)] = rows
+            npt.assert_allclose(table[start + j], block.sum(axis=0) / b, atol=1e-15)
+
+
+@pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
+def test_block_means_gradient_vs_fd(keys):
+    rng = np.random.default_rng(21)
+    spans = block_spans(keys, 5)
+    x = Parameter("x", rng.normal(size=(5, 3)))
+    w = Tensor(rng.normal(size=(spans[-1][3], 3)))
+    check_op_grad(lambda: T.sum_all(T.mul(T.block_means(x.tensor, spans), w)), [x])
+
+
+@pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
+def test_block_scores_gradient_vs_fd(keys):
+    rng = np.random.default_rng(22)
+    spans = block_spans(keys, 5)
+    table = Parameter("table", rng.normal(size=(spans[-1][3], 3)))
+    scorer = Parameter("scorer", rng.normal(size=(3, 1)))
+    r = Tensor(rng.normal(size=(5, len(spans))))
+    check_op_grad(
+        lambda: T.sum_all(T.mul(T.block_scores(table.tensor, scorer.tensor, spans, 5), r)),
+        [table, scorer],
+    )
+
+
+@pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
+def test_block_mix_gradient_vs_fd(keys):
+    rng = np.random.default_rng(23)
+    spans = block_spans(keys, 5)
+    weights = Parameter("weights", rng.normal(size=(5, len(spans))))
+    table = Parameter("table", rng.normal(size=(spans[-1][3], 3)))
+    r = Tensor(rng.normal(size=(5, 3)))
+    check_op_grad(
+        lambda: T.sum_all(T.mul(T.block_mix(weights.tensor, table.tensor, spans), r)),
+        [weights, table],
+    )
+
+
+def test_block_ops_one_record_each():
+    spans = block_spans([(1, 0), (2, 0), (2, 1)], 5)
+    x = Tensor(np.ones((5, 2)), requires_grad=True)
+    table = T.block_means(x, spans)
+    raw = T.block_scores(table, Tensor(np.ones((2, 1))), spans, 5)
+    T.block_mix(T.softmax_last_axis(raw), table, spans)
+    assert [name for _, _, name in T.active_tape().records] == [
+        "block_means", "block_scores", "softmax_last_axis", "block_mix"
+    ]
+
+
+def test_block_ops_reject_mismatched_spans():
+    x = Tensor(np.ones((5, 2)))
+    with pytest.raises(ShapeError):
+        T.block_means(x, [(2, 0, 0, 2)])  # 5 rows need 3 blocks of 2
+    with pytest.raises(ShapeError):
+        T.block_means(x, [(1, 0, 0, 5), (2, 0, 6, 9)])  # gap between streams
+    spans = block_spans([(1, 0), (2, 0)], 5)
+    table = T.block_means(x, spans)
+    with pytest.raises(ShapeError):
+        T.block_scores(table, Tensor(np.ones((3, 1))), spans, 5)
+    with pytest.raises(ShapeError):
+        T.block_scores(table, Tensor(np.ones((2, 1))), spans, 6)
+    with pytest.raises(ShapeError):
+        T.block_mix(Tensor(np.ones((5, 3))), table, spans)
 
 
 # --- softmax ----------------------------------------------------------------
@@ -280,31 +381,6 @@ def test_attention_shape_errors():
         T.multi_head_attention(x, x, x, 2, mask=np.zeros((3, 4)))
 
 
-# --- repeat_upsample --------------------------------------------------------
-
-
-def test_repeat_factor_one_identity():
-    x = Tensor([[1.0], [2.0]])
-    npt.assert_array_equal(T.repeat_upsample(x, 1).data, x.data)
-
-
-def test_repeat_definition():
-    out = T.repeat_upsample(Tensor([[1.0], [2.0]]), 3)
-    npt.assert_array_equal(out.data, [[1.0], [1.0], [1.0], [2.0], [2.0], [2.0]])
-
-
-def test_repeat_backward_sums_groups():
-    p = Parameter("p", np.array([[1.0], [2.0]]))
-    reset_tape()
-    backward(T.sum_all(T.repeat_upsample(p.tensor, 3)))
-    npt.assert_array_equal(p.grad, [[3.0], [3.0]])
-
-
-def test_repeat_bad_factor():
-    with pytest.raises(ConfigError):
-        T.repeat_upsample(Tensor([[1.0]]), 0)
-
-
 # --- backward / tape --------------------------------------------------------
 
 
@@ -408,13 +484,13 @@ def test_mul_column_broadcast_gradient():
 def test_pad_slice_roundtrip_and_grads():
     rng = np.random.default_rng(10)
     x = Parameter("x", rng.normal(size=(4, 2)))
-    padded = T.pad_rows(x.tensor, 1, 2)
+    padded = Tensor(np.pad(x.data, ((1, 2), (0, 0))))
     assert padded.shape == (7, 2)
     npt.assert_array_equal(padded.data[0], 0.0)
     back = T.slice_rows(padded, 1, 5)
     npt.assert_array_equal(back.data, x.data)
-    w = Tensor(rng.normal(size=(4, 2)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.slice_rows(T.pad_rows(x.tensor, 1, 2), 1, 5), w)), [x])
+    w = Tensor(rng.normal(size=(2, 2)))
+    check_op_grad(lambda: T.sum_all(T.mul(T.slice_rows(x.tensor, 1, 3), w)), [x])
 
 
 def test_slice_cols_and_concat_inverse():
