@@ -17,23 +17,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 VOCAB_SIZE = 256
 SENTINEL_COUNT = 100
 FIRST_SENTINEL_ID = VOCAB_SIZE - SENTINEL_COUNT  # 156
-PAD_ID = 0  # never produced by corruption; reserved for external padding
-
-
-@dataclass(frozen=True)
-class ByteVocab:
-    size: int = VOCAB_SIZE
-    sentinel_count: int = SENTINEL_COUNT
-    pad_id: int = PAD_ID
-
-    @property
-    def sentinel_range(self) -> tuple[int, int]:
-        return (FIRST_SENTINEL_ID, VOCAB_SIZE - 1)
 
 
 def sentinel_id(k: int) -> int:
@@ -196,19 +184,20 @@ def reconstruct(example: SpanCorruptionExample) -> ByteSequence:
     return ByteSequence(out)
 
 
-def embed(seq: ByteSequence, table: Parameter | Tensor) -> Tensor:
+def embed(seq: ByteSequence, table: Tensor) -> Tensor:
     """Look up one embedding row per byte id; gradients scatter back. Ids must
     be below the table's row count (256 for the full byte vocabulary)."""
-    t = table.tensor if isinstance(table, Parameter) else table
-    return T.embedding_gather(t, seq.ids)
+    return T.embedding_gather(table, seq.ids)
 
 
 def load_corpus(path: str) -> list[ByteSequence]:
-    """Newline-delimited documents from a UTF-8 text file. Lines that are not
-    valid UTF-8 are rejected (strict decode), blank lines skipped."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    text = raw.decode("utf-8")  # strict: illegal sequences are an error
+    """Newline-delimited documents from a UTF-8 text file. A file that is not
+    valid UTF-8 is rejected (strict decode), blank lines skipped."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")  # strict: illegal sequences are an error
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read corpus {path}: {err}")
     docs = [line for line in text.split("\n") if line.strip()]
     if not docs:
         raise ConfigError(f"corpus {path} contains no documents")

@@ -97,8 +97,6 @@ def cmd_finetune(args) -> int:
         return 2
     state = load_checkpoint(cfg.checkpoint)
     state.step = 0
-    if cfg.freeze_gbst:
-        state.set_gbst_frozen(True)
     return _run_training(cfg, state)
 
 

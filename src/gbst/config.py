@@ -140,9 +140,12 @@ def parse_config_text(text: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}")
+    return parse_config_text(text)
 
 
 def format_config(cfg: RunConfig) -> str:

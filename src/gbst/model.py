@@ -150,10 +150,6 @@ class ModelState:
     def transformer_parameters(self) -> list[Parameter]:
         return [p for n, p in self.params.items() if not n.startswith("gbst.")]
 
-    def set_gbst_frozen(self, flag: bool) -> None:
-        for p in self.gbst_parameters():
-            p.frozen = flag
-
     def gbst_param_view(self) -> GbstParams:
         if self.stack.frontend != "gbst":
             raise ConfigError("model has no gbst frontend")
@@ -165,7 +161,7 @@ class ModelState:
 
     def zero_grads(self) -> None:
         for p in self.parameters():
-            p.tensor.grad = None
+            p.grad = None
 
 
 class KVCache:
@@ -195,29 +191,29 @@ def _attention(
     """Multi-head attention of ``x_q`` over ``x_kv``. With a cache,
     self-attention (``x_kv is x_q``) appends the K/V of the new rows to the
     cached ones, and cross-attention reuses the K/V of its first call."""
-    q = T.matmul(x_q, state[f"{prefix}.wq"].tensor)
+    q = T.matmul(x_q, state[f"{prefix}.wq"])
     cached = cache.kv.get(prefix) if cache is not None else None
     if cached is not None and x_kv is not x_q:
         k, v = cached
     else:
-        k = T.matmul(x_kv, state[f"{prefix}.wk"].tensor)
-        v = T.matmul(x_kv, state[f"{prefix}.wv"].tensor)
+        k = T.matmul(x_kv, state[f"{prefix}.wk"])
+        v = T.matmul(x_kv, state[f"{prefix}.wv"])
         if cached is not None:
             k = T.constant(np.concatenate([cached[0].data, k.data]))
             v = T.constant(np.concatenate([cached[1].data, v.data]))
         if cache is not None:
             cache.kv[prefix] = (k, v)
     merged = T.multi_head_attention(q, k, v, state.stack.heads, mask, collect)
-    return T.matmul(merged, state[f"{prefix}.wo"].tensor)
+    return T.matmul(merged, state[f"{prefix}.wo"])
 
 
 def _ffn(x: Tensor, state: ModelState, prefix: str) -> Tensor:
-    hidden = T.gelu(T.add(T.matmul(x, state[f"{prefix}.w1"].tensor), state[f"{prefix}.b1"].tensor))
-    return T.add(T.matmul(hidden, state[f"{prefix}.w2"].tensor), state[f"{prefix}.b2"].tensor)
+    hidden = T.gelu(T.add(T.matmul(x, state[f"{prefix}.w1"]), state[f"{prefix}.b1"]))
+    return T.add(T.matmul(hidden, state[f"{prefix}.w2"]), state[f"{prefix}.b2"])
 
 
 def _ln(x: Tensor, state: ModelState, prefix: str) -> Tensor:
-    return T.layer_norm(x, state[f"{prefix}.gain"].tensor, state[f"{prefix}.bias"].tensor)
+    return T.layer_norm(x, state[f"{prefix}.gain"], state[f"{prefix}.bias"])
 
 
 def _positions(state: ModelState, table: str, start: int, stop: int) -> Tensor:
@@ -225,7 +221,7 @@ def _positions(state: ModelState, table: str, start: int, stop: int) -> Tensor:
         raise ShapeError(
             f"sequence length {stop} exceeds max_positions {state.stack.max_positions}"
         )
-    return T.slice_rows(state[table].tensor, start, stop)
+    return T.slice_rows(state[table], start, stop)
 
 
 def causal_mask(n: int, cached: int) -> np.ndarray:
@@ -252,7 +248,7 @@ def run_frontend(state: ModelState, ids: list[int]) -> tuple[Tensor, GbstOutput 
     """Embed encoder bytes and apply the configured frontend."""
     if not ids:
         raise ShapeError("encoder byte sequence is empty")
-    x = T.embedding_gather(state["embedding"].tensor, ids)
+    x = T.embedding_gather(state["embedding"], ids)
     if state.stack.frontend == "identity":
         return x, None
     out = gbst_forward(x, state.gbst, state.gbst_param_view())
@@ -297,7 +293,7 @@ def decode_stack(
             raise ConfigError("the K/V cache holds the keys of another encoder memory")
         t = cache.length
     n = len(dec_input_ids)
-    x = T.embedding_gather(state["embedding"].tensor, dec_input_ids)
+    x = T.embedding_gather(state["embedding"], dec_input_ids)
     x = T.add(x, _positions(state, "pos_dec", t, t + n))
     mask = causal_mask(n, t)
     for i in range(state.stack.decoder_layers):
@@ -308,7 +304,7 @@ def decode_stack(
         x = T.add(x, _ffn(_ln(x, state, f"dec{i}.ln3"), state, f"dec{i}.ffn"))
     if cache is not None:
         cache.length = t + n
-    return T.matmul(x, state["out_proj"].tensor)
+    return T.matmul(x, state["out_proj"])
 
 
 def sequence_loss(
@@ -392,7 +388,11 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelState:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as err:
+        raise ConfigError(f"cannot read checkpoint {path}: {err}")
+    with fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
@@ -422,7 +422,7 @@ def load_checkpoint(path: str) -> ModelState:
                 raise ConfigError(f"{path} has unknown parameter {name}")
             if state.params[name].data.shape != shape:
                 raise ConfigError(f"{path}: shape mismatch for {name}")
-            state.params[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            state.params[name].data = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
             missing.discard(name)
         if missing:
             raise ConfigError(f"{path} has no values for {', '.join(sorted(missing))}")

@@ -149,10 +149,6 @@ def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator, prefix: str = "g
     return GbstParams(scorer=scorer, conv_filters=filters, conv_bias=bias)
 
 
-def _tensor(x) -> Tensor:
-    return x.tensor if isinstance(x, Parameter) else x
-
-
 def enumerate_blocks(x: Tensor, cfg: GbstConfig) -> BlockCandidates:
     """Pool every candidate stream for block sizes 1..M (and offsets if enabled)
     into one table of block means. Each (b, o) pair is an independent
@@ -168,9 +164,9 @@ def enumerate_blocks(x: Tensor, cfg: GbstConfig) -> BlockCandidates:
     return BlockCandidates(T.block_means(x, spans), spans, n)
 
 
-def score_blocks(candidates: BlockCandidates, scorer) -> ScoreMatrix:
+def score_blocks(candidates: BlockCandidates, scorer: Tensor) -> ScoreMatrix:
     """Score every candidate stream and softmax across streams per position."""
-    raw = T.block_scores(candidates.table, _tensor(scorer), candidates.spans, candidates.length)
+    raw = T.block_scores(candidates.table, scorer, candidates.spans, candidates.length)
     weights = T.softmax_last_axis(raw)
     labels = [_label(b, o) for b, o, _, _ in candidates.spans]
     return ScoreMatrix(raw=raw, weights=weights, labels=labels)
@@ -211,7 +207,7 @@ def gbst_forward(x: Tensor, cfg: GbstConfig, params: GbstParams) -> GbstOutput:
     if n < cfg.downsample_rate:
         raise ShapeError(f"sequence length {n} < downsample rate {cfg.downsample_rate}")
     if cfg.conv_kernel_size is not None:
-        x = T.conv1d_same(x, params.conv_filters.tensor, params.conv_bias.tensor)
+        x = T.conv1d_same(x, params.conv_filters, params.conv_bias)
     candidates = enumerate_blocks(x, cfg)
     scores = score_blocks(candidates, params.scorer)
     if cfg.enable_calibration:

@@ -4,8 +4,11 @@ Every forward op computes eagerly on numpy arrays and, when gradients are
 enabled, appends a backward rule to the module-level tape. ``backward()``
 replays the tape in reverse execution order, which is always a valid
 topological order of the computation graph, and accumulates gradients into
-every tensor that requires them. All storage is float64 and row-major; ops
-copy rather than alias, and every forward result is checked for NaN/Inf.
+every tensor that requires them. A ``Parameter`` is a named tensor; freezing
+one is ``requires_grad = False``, after which it gets no gradient, and an op
+none of whose inputs requires a gradient records nothing. All storage is
+float64 and row-major; ops copy rather than alias, and every forward result
+is checked for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -24,58 +27,33 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class Tensor:
     """A real-valued n-dimensional array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "frozen")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.frozen = False
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class Parameter:
-    """A named trainable tensor. ``frozen=True`` blocks gradient accumulation:
-    a frozen parameter reachable from the loss receives an all-zero gradient."""
+class Parameter(Tensor):
+    """A named trainable tensor. Freezing it is ``requires_grad = False``:
+    backward then passes it by, and it gets no gradient (``grad is None``)."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, data, frozen: bool = False):
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-        self.tensor.frozen = bool(frozen)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value) -> None:
-        self.tensor.data = np.asarray(value, dtype=np.float64)
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
-    @property
-    def frozen(self) -> bool:
-        return self.tensor.frozen
-
-    @frozen.setter
-    def frozen(self, flag: bool) -> None:
-        self.tensor.frozen = bool(flag)
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.data.shape}, frozen={self.frozen})"
+        return f"Parameter({self.name!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -156,8 +134,6 @@ def _accumulate(t, g: np.ndarray) -> None:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    if t.frozen:
-        return
     t.grad += g
 
 

@@ -72,7 +72,7 @@ class Adam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p in params:
-            if p.frozen or p.grad is None:
+            if p.grad is None:
                 continue
             m = self.m.setdefault(p.name, np.zeros_like(p.data))
             v = self.v.setdefault(p.name, np.zeros_like(p.data))
@@ -84,7 +84,7 @@ class Adam:
 class Sgd:
     def step(self, params: list[Parameter], lr: float) -> None:
         for p in params:
-            if p.frozen or p.grad is None:
+            if p.grad is None:
                 continue
             p.data -= lr * p.grad
 
@@ -97,13 +97,13 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm."""
     total = 0.0
     for p in params:
-        if p.grad is not None and not p.frozen:
+        if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            if p.grad is not None and not p.frozen:
+            if p.grad is not None:
                 np.multiply(p.grad, scale, out=p.grad)
     return norm
 
@@ -140,8 +140,8 @@ def train_step(
         raise ShapeError("batch must be non-empty")
     reset_tape()
     state.zero_grads()
-    if cfg.freeze_gbst:
-        state.set_gbst_frozen(True)
+    for p in state.gbst_parameters():
+        p.requires_grad = not cfg.freeze_gbst
     lr = learning_rate_at(cfg, state.step + 1)
     try:
         total = None

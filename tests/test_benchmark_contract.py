@@ -1,8 +1,9 @@
 """The traced benchmark wraps gbst attributes by name; keep those names alive.
 
 ``perfbench/tracing.py`` patches the functions listed in its ``_SPANS`` on
-their modules. A rename, or a call that bypasses the module attribute, would
-leave ``--trace 1`` reporting nothing for that layer or GBST stage.
+their modules, and the training hooks of ``gbst.train`` plus the optimizer's
+``step``. A rename, or a call that bypasses the module attribute, would leave
+``--trace 1`` reporting nothing (or 0 ms) for that layer, GBST stage or hook.
 """
 
 import importlib.util
@@ -11,11 +12,19 @@ import os
 import numpy as np
 import pytest
 
+from gbst import train as TR
+from gbst.bytes_data import encode
 from gbst.model import ModelState, StackConfig, sequence_loss
 from gbst.subword import GbstConfig
 from gbst.tensor import reset_tape
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def tiny_state():
+    stack = StackConfig(encoder_layers=1, decoder_layers=1, d_model=8, heads=2, head_dim=4,
+                        ffn_dim=16, frontend="gbst", max_positions=64)
+    return ModelState(stack, GbstConfig(embedding_dim=8, enable_calibration=True), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +52,26 @@ def test_traced_spans_are_called_through_their_modules(tracing, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
-    stack = StackConfig(encoder_layers=1, decoder_layers=1, d_model=8, heads=2, head_dim=4,
-                        ffn_dim=16, frontend="gbst", max_positions=64)
-    gbst = GbstConfig(embedding_dim=8, enable_calibration=True)
-    state = ModelState(stack, gbst, seed=0)
+    state = tiny_state()
     reset_tape()
     sequence_loss(state, list(range(65, 81)), [66, 67, 68])
     reset_tape()
     assert calls == {key: 1 for _, _, key in tracing._SPANS}
+
+
+def test_training_hooks_are_called_through_gbst_train(monkeypatch):
+    # the optimizer is built inside train_loop, so its step is patched on the class
+    hooks = [(TR, "train_step"), (TR, "backward"), (TR, "clip_gradients"), (TR, "make_batch"),
+             (TR.Adam, "step")]
+    calls = {}
+    for owner, attr in hooks:
+        original = getattr(owner, attr)
+
+        def counted(*args, _key=attr, _original=original, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    cfg = TR.TrainConfig(batch_size=1, steps=1, window_len=32, optimizer="adam")
+    TR.train_loop(tiny_state(), [encode("the contract covers the training hooks too")], cfg)
+    assert calls == {attr: 1 for _, attr in hooks}

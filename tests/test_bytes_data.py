@@ -7,7 +7,6 @@ from gbst.bytes_data import (
     FIRST_SENTINEL_ID,
     SENTINEL_COUNT,
     ByteSequence,
-    ByteVocab,
     SpanCorruptionExample,
     corrupt_spans,
     decode,
@@ -47,7 +46,6 @@ def test_sentinel_mapping():
     assert sentinel_id(0) == 255
     assert sentinel_id(99) == 156
     assert FIRST_SENTINEL_ID == 156
-    assert ByteVocab().sentinel_range == (156, 255)
     with pytest.raises(ConfigError):
         sentinel_id(100)
     assert is_sentinel(156) and is_sentinel(255) and not is_sentinel(155)

@@ -135,6 +135,33 @@ def test_resolved_config_reproduces_run(tmp_path):
         assert (p.data == b[name].data).all(), name
 
 
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("pretrain-corpus", "not-utf8"),
+        ("pretrain-config", "not-utf8"),
+        ("pretrain-corpus", "directory"),
+        ("pretrain-config", "directory"),
+        ("score-viz-checkpoint", "directory"),
+    ],
+)
+def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, command, kind):
+    bad = tmp_path / "unreadable"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"steps = 1\n# caf\xe9 in latin-1\n")
+    out = str(tmp_path / "out")
+    if command == "pretrain-corpus":
+        argv = ["pretrain", "--config", write_config(tmp_path, TINY, corpus=str(bad)), "--out", out]
+    elif command == "pretrain-config":
+        argv = ["pretrain", "--config", str(bad), "--out", out]
+    else:
+        argv = ["score-viz", "--checkpoint", str(bad), "--text", "abc", "--out", out]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_finetune_requires_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY)
     assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

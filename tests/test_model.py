@@ -179,6 +179,8 @@ def test_checkpoint_round_trip_bit_identical():
     save_checkpoint(state, path)
     loaded = load_checkpoint(path)
     assert loaded.step == 17
+    for p in loaded.parameters():  # a native float64 copy that training can update in place
+        assert p.data.dtype == np.float64 and p.data.dtype.isnative and p.data.flags.writeable
     assert loaded.parameter_count() == state.parameter_count()
     with no_grad():
         memory2, _ = encode_input(loaded, ids)

@@ -76,7 +76,7 @@ def test_matmul_gradient_vs_fd():
     rng = np.random.default_rng(0)
     a = Parameter("a", rng.normal(size=(3, 4)))
     b = Parameter("b", rng.normal(size=(4, 2)))
-    check_op_grad(lambda: T.sum_all(T.matmul(a.tensor, b.tensor)), [a, b])
+    check_op_grad(lambda: T.sum_all(T.matmul(a, b)), [a, b])
 
 
 # --- conv1d_same ------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_conv_gradient_vs_fd():
     w = Tensor(rng.normal(size=(6, 2)))
 
     def loss():
-        return T.sum_all(T.mul(T.conv1d_same(x.tensor, f.tensor, b.tensor), w))
+        return T.sum_all(T.mul(T.conv1d_same(x, f, b), w))
 
     check_op_grad(loss, [x, f, b])
 
@@ -174,9 +174,9 @@ def test_pool_gradient_with_remainder_row():
     rng = np.random.default_rng(5)
     x = Parameter("x", rng.normal(size=(7, 2)))
     w = Tensor(rng.normal(size=(2, 2)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.mean_pool_1d(x.tensor, 3), w)), [x])
+    check_op_grad(lambda: T.sum_all(T.mul(T.mean_pool_1d(x, 3), w)), [x])
     reset_tape()
-    backward(T.sum_all(T.mul(T.mean_pool_1d(x.tensor, 3), w)))
+    backward(T.sum_all(T.mul(T.mean_pool_1d(x, 3), w)))
     npt.assert_array_equal(x.grad[6], 0.0)
 
 
@@ -221,7 +221,7 @@ def test_block_means_gradient_vs_fd(keys):
     spans = block_spans(keys, 5)
     x = Parameter("x", rng.normal(size=(5, 3)))
     w = Tensor(rng.normal(size=(spans[-1][3], 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.block_means(x.tensor, spans), w)), [x])
+    check_op_grad(lambda: T.sum_all(T.mul(T.block_means(x, spans), w)), [x])
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
@@ -232,7 +232,7 @@ def test_block_scores_gradient_vs_fd(keys):
     scorer = Parameter("scorer", rng.normal(size=(3, 1)))
     r = Tensor(rng.normal(size=(5, len(spans))))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.block_scores(table.tensor, scorer.tensor, spans, 5), r)),
+        lambda: T.sum_all(T.mul(T.block_scores(table, scorer, spans, 5), r)),
         [table, scorer],
     )
 
@@ -245,7 +245,7 @@ def test_block_mix_gradient_vs_fd(keys):
     table = Parameter("table", rng.normal(size=(spans[-1][3], 3)))
     r = Tensor(rng.normal(size=(5, 3)))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.block_mix(weights.tensor, table.tensor, spans), r)),
+        lambda: T.sum_all(T.mul(T.block_mix(weights, table, spans), r)),
         [weights, table],
     )
 
@@ -295,7 +295,7 @@ def test_softmax_gradient_vs_fd():
     rng = np.random.default_rng(6)
     x = Parameter("x", rng.normal(size=(1, 4)))
     w = Tensor(rng.normal(size=(1, 4)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.softmax_last_axis(x.tensor), w)), [x])
+    check_op_grad(lambda: T.sum_all(T.mul(T.softmax_last_axis(x), w)), [x])
 
 
 # --- multi_head_attention ---------------------------------------------------
@@ -356,7 +356,7 @@ def test_attention_gradient_vs_fd(masked):
     w = Tensor(rng.normal(size=(3, 6)))
     mask = np.triu(np.full((3, 4), -1e9), k=2) if masked else None
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.multi_head_attention(q.tensor, k.tensor, v.tensor, 2, mask), w)),
+        lambda: T.sum_all(T.mul(T.multi_head_attention(q, k, v, 2, mask), w)),
         [q, k, v],
     )
 
@@ -384,24 +384,31 @@ def test_attention_shape_errors():
 # --- backward / tape --------------------------------------------------------
 
 
+def test_parameter_is_a_named_tensor():
+    p = Parameter("p", [1, 2])
+    assert isinstance(p, Tensor) and p.name == "p" and p.requires_grad
+    assert p.data.dtype == np.float64 and p.grad is None
+    assert not hasattr(p, "tensor") and not hasattr(p, "frozen")
+
+
 def test_backward_sum_gives_ones():
     p = Parameter("p", np.arange(6.0).reshape(2, 3))
     reset_tape()
-    backward(T.sum_all(p.tensor))
+    backward(T.sum_all(p))
     npt.assert_array_equal(p.grad, np.ones((2, 3)))
 
 
 def test_backward_zero_product_gives_zeros():
     p = Parameter("p", np.arange(4.0).reshape(2, 2))
     reset_tape()
-    backward(T.sum_all(T.mul(p.tensor, 0.0)))
+    backward(T.sum_all(T.mul(p, 0.0)))
     npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
 def test_backward_requires_scalar():
     p = Parameter("p", np.ones((2, 2)))
     reset_tape()
-    out = T.mul(p.tensor, 2.0)
+    out = T.mul(p, 2.0)
     with pytest.raises(ShapeError):
         backward(out)
 
@@ -409,7 +416,7 @@ def test_backward_requires_scalar():
 def test_backward_twice_raises():
     p = Parameter("p", np.ones(3))
     reset_tape()
-    loss = T.sum_all(p.tensor)
+    loss = T.sum_all(p)
     backward(loss)
     with pytest.raises(TapeError):
         backward(loss)
@@ -425,17 +432,18 @@ def test_multipath_accumulation():
     # y used twice: chain rule sums over paths
     p = Parameter("p", np.array([3.0]))
     reset_tape()
-    y = T.mul(p.tensor, 2.0)
+    y = T.mul(p, 2.0)
     backward(T.sum_all(T.add(y, y)))
     npt.assert_array_equal(p.grad, [4.0])
 
 
-def test_frozen_parameter_gets_zero_grad():
-    p = Parameter("p", np.ones(3), frozen=True)
+def test_frozen_parameter_gets_no_grad():
+    p = Parameter("p", np.ones(3))
     q = Parameter("q", np.ones(3))
+    p.requires_grad = False
     reset_tape()
-    backward(T.sum_all(T.add(p.tensor, q.tensor)))
-    npt.assert_array_equal(p.grad, np.zeros(3))
+    backward(T.sum_all(T.add(p, q)))
+    assert p.grad is None
     npt.assert_array_equal(q.grad, np.ones(3))
 
 
@@ -453,7 +461,7 @@ def test_determinism_bit_identical():
     def run():
         reset_tape()
         pa, pb = Parameter("a", a.copy()), Parameter("b", b.copy())
-        loss = T.sum_all(T.gelu(T.matmul(pa.tensor, pb.tensor)))
+        loss = T.sum_all(T.gelu(T.matmul(pa, pb)))
         backward(loss)
         return float(loss.data), pa.grad.copy(), pb.grad.copy()
 
@@ -471,14 +479,14 @@ def test_add_row_broadcast_gradient():
     x = Parameter("x", rng.normal(size=(5, 3)))
     b = Parameter("b", rng.normal(size=3))
     w = Tensor(rng.normal(size=(5, 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.add(x.tensor, b.tensor), w)), [x, b])
+    check_op_grad(lambda: T.sum_all(T.mul(T.add(x, b), w)), [x, b])
 
 
 def test_mul_column_broadcast_gradient():
     rng = np.random.default_rng(9)
     x = Parameter("x", rng.normal(size=(5, 3)))
     c = Parameter("c", rng.normal(size=(5, 1)))
-    check_op_grad(lambda: T.sum_all(T.mul(x.tensor, c.tensor)), [x, c])
+    check_op_grad(lambda: T.sum_all(T.mul(x, c)), [x, c])
 
 
 def test_pad_slice_roundtrip_and_grads():
@@ -490,19 +498,19 @@ def test_pad_slice_roundtrip_and_grads():
     back = T.slice_rows(padded, 1, 5)
     npt.assert_array_equal(back.data, x.data)
     w = Tensor(rng.normal(size=(2, 2)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.slice_rows(x.tensor, 1, 3), w)), [x])
+    check_op_grad(lambda: T.sum_all(T.mul(T.slice_rows(x, 1, 3), w)), [x])
 
 
 def test_slice_cols_and_concat_inverse():
     rng = np.random.default_rng(11)
     x = Parameter("x", rng.normal(size=(3, 6)))
-    parts = [T.slice_cols(x.tensor, i, i + 2) for i in (0, 2, 4)]
+    parts = [T.slice_cols(x, i, i + 2) for i in (0, 2, 4)]
     merged = T.concat_last_axis(parts)
     npt.assert_array_equal(merged.data, x.data)
     w = Tensor(rng.normal(size=(3, 6)))
     check_op_grad(
         lambda: T.sum_all(
-            T.mul(T.concat_last_axis([T.slice_cols(x.tensor, 0, 2), T.slice_cols(x.tensor, 2, 6)]), w)
+            T.mul(T.concat_last_axis([T.slice_cols(x, 0, 2), T.slice_cols(x, 2, 6)]), w)
         ),
         [x],
     )
@@ -512,14 +520,14 @@ def test_transpose_gradient():
     rng = np.random.default_rng(12)
     x = Parameter("x", rng.normal(size=(3, 5)))
     w = Tensor(rng.normal(size=(5, 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.transpose_2d(x.tensor), w)), [x])
+    check_op_grad(lambda: T.sum_all(T.mul(T.transpose_2d(x), w)), [x])
 
 
 def test_embedding_gather_counts():
     table = Parameter("table", np.random.default_rng(13).normal(size=(4, 3)))
     ids = [2, 0, 2, 2]
     reset_tape()
-    backward(T.sum_all(T.embedding_gather(table.tensor, ids)))
+    backward(T.sum_all(T.embedding_gather(table, ids)))
     expected = np.zeros((4, 3))
     expected[2] = 3.0
     expected[0] = 1.0
@@ -541,14 +549,14 @@ def test_layer_norm_gradient_vs_fd():
     b = Parameter("b", rng.normal(size=6))
     w = Tensor(rng.normal(size=(4, 6)))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.layer_norm(x.tensor, g.tensor, b.tensor), w)), [x, g, b], rtol=1e-5
+        lambda: T.sum_all(T.mul(T.layer_norm(x, g, b), w)), [x, g, b], rtol=1e-5
     )
 
 
 def test_gelu_gradient_vs_fd():
     rng = np.random.default_rng(15)
     x = Parameter("x", rng.normal(size=(5, 3)))
-    check_op_grad(lambda: T.sum_all(T.gelu(x.tensor)), [x])
+    check_op_grad(lambda: T.sum_all(T.gelu(x)), [x])
 
 
 def test_cross_entropy_values_and_gradient():
@@ -556,20 +564,20 @@ def test_cross_entropy_values_and_gradient():
     logits = Parameter("logits", rng.normal(size=(4, 7)))
     ids = [1, 0, 6, 3]
     reset_tape()
-    loss = T.cross_entropy_with_logits(logits.tensor, ids)
+    loss = T.cross_entropy_with_logits(logits, ids)
     # direct logsumexp oracle
     z = logits.data
     ref = np.mean(
         [np.log(np.exp(z[i] - z[i].max()).sum()) + z[i].max() - z[i, t] for i, t in enumerate(ids)]
     )
     npt.assert_allclose(float(loss.data), ref, rtol=1e-12)
-    check_op_grad(lambda: T.cross_entropy_with_logits(logits.tensor, ids), [logits])
+    check_op_grad(lambda: T.cross_entropy_with_logits(logits, ids), [logits])
 
 
 def test_no_grad_suppresses_recording():
     p = Parameter("p", np.ones(3))
     reset_tape()
     with no_grad():
-        out = T.mul(p.tensor, 2.0)
+        out = T.mul(p, 2.0)
     assert not out.requires_grad
     assert len(T.active_tape()) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,12 +64,48 @@ def test_freeze_gbst_blocks_updates_and_grads():
     for _ in range(3):
         train_step(state, make_batch(docs, cfg, rng), cfg, opt)
         for p in state.gbst_parameters():
-            assert (p.grad == 0.0).all()  # frozen grads are exactly zero
+            assert p.grad is None  # frozen parameters get no gradient
     for p in state.gbst_parameters():
         assert p.data.tobytes() == before[p.name]
     changed = [p.name for p in state.transformer_parameters()
                if p.data.tobytes() != before[p.name]]
     assert len(changed) == len(state.transformer_parameters())
+
+
+def test_freezing_follows_the_config_of_each_step():
+    state = desk_state()
+    frozen = TrainConfig(batch_size=1, freeze_gbst=True, window_len=48)
+    live = dataclasses.replace(frozen, freeze_gbst=False)
+    opt = make_optimizer(frozen)
+    docs = small_docs()
+    rng = np.random.default_rng(4)
+    before = snapshot(state)
+    train_step(state, make_batch(docs, frozen, rng), frozen, opt)
+    for p in state.gbst_parameters():
+        assert (p.data == before[p.name]).all(), p.name
+    train_step(state, make_batch(docs, live, rng), live, opt)
+    for p in state.gbst_parameters():
+        assert (p.data != before[p.name]).any(), p.name
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_freezing_withholds_only_the_gbst_update(optimizer):
+    # one step only: after it the GBST weights, and so the forward pass, differ
+    cfg = TrainConfig(batch_size=2, window_len=48, grad_clip=0.0, optimizer=optimizer)
+    batch = make_batch(small_docs(), cfg, np.random.default_rng(6))
+    before = snapshot(desk_state())
+    after = {}
+    for freeze in (False, True):
+        state = desk_state()
+        step_cfg = dataclasses.replace(cfg, freeze_gbst=freeze)
+        train_step(state, batch, step_cfg, make_optimizer(step_cfg))
+        after[freeze] = snapshot(state)
+    for name, frozen in after[True].items():
+        if name.startswith("gbst."):
+            assert frozen.tobytes() == before[name].tobytes(), name
+            assert frozen.tobytes() != after[False][name].tobytes(), name
+        else:
+            assert frozen.tobytes() == after[False][name].tobytes(), name
 
 
 def test_training_is_deterministic():
