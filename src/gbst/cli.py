@@ -51,11 +51,8 @@ def _write_resolved(cfg: RunConfig) -> None:
 
 
 def _run_training(cfg: RunConfig, state: ModelState) -> int:
-    if not os.path.exists(cfg.corpus):
-        print(f"error: corpus file not found: {cfg.corpus}", file=sys.stderr)
-        return 2
-    _write_resolved(cfg)
     docs = load_corpus(cfg.corpus)
+    _write_resolved(cfg)
     train_cfg = cfg.train_config()
     state.run_config = dataclasses.asdict(cfg)
     log_path = os.path.join(cfg.out_dir, "metrics.log")
@@ -92,9 +89,6 @@ def cmd_finetune(args) -> int:
     if cfg.checkpoint is None:
         print("error: finetune requires a checkpoint path in the config", file=sys.stderr)
         return 2
-    if not os.path.exists(cfg.checkpoint):
-        print(f"error: checkpoint not found: {cfg.checkpoint}", file=sys.stderr)
-        return 2
     state = load_checkpoint(cfg.checkpoint)
     state.step = 0
     return _run_training(cfg, state)
@@ -114,9 +108,6 @@ def _heatmap(weights: np.ndarray, labels: list[str]) -> str:
 def cmd_score_viz(args) -> int:
     if not args.checkpoint or not args.text:
         print("error: score-viz needs --checkpoint and --text", file=sys.stderr)
-        return 2
-    if not os.path.exists(args.checkpoint):
-        print(f"error: checkpoint not found: {args.checkpoint}", file=sys.stderr)
         return 2
     state = load_checkpoint(args.checkpoint)
     if state.stack.frontend != "gbst":
@@ -190,8 +181,7 @@ def cmd_profile(args) -> int:
             report.steps_per_second = bench.steps_per_second
             report.peak_alloc_bytes = bench.peak_alloc_bytes
             speed = f"{bench.steps_per_second:9.3f}"
-        label = frontend if rate is None else f"{frontend}"
-        print(f"{label:>10} {rate if rate is not None else '-':>4} "
+        print(f"{frontend:>10} {rate if rate is not None else '-':>4} "
               f"{report.params:>10} {report.flops_forward:>14} {speed:>9}")
         sys.stdout.write(report.machine_lines())
     return 0

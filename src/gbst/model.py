@@ -405,7 +405,14 @@ def load_checkpoint(path: str) -> ModelState:
             raise ConfigError(f"{path} has checkpoint version {version!r}, expected {CHECKPOINT_VERSION}")
         try:
             stack = StackConfig(**header["stack"])
-            gbst = GbstConfig(**header["gbst"]) if header["gbst"] is not None else None
+            gbst = None
+            if header["gbst"] is not None:
+                gbst_fields = dict(header["gbst"])
+                # files from before GbstConfig lost its pooling field carry "pooling": "mean"
+                pooling = gbst_fields.pop("pooling", "mean")
+                if pooling != "mean":
+                    raise ValueError(f"unsupported GBST pooling {pooling!r}")
+                gbst = GbstConfig(**gbst_fields)
             step = int(header["step"])
             metas = [(m["name"], tuple(int(s) for s in m["shape"])) for m in header["params"]]
         except (KeyError, TypeError, ValueError) as err:

@@ -14,6 +14,9 @@ every block with the linear scorer (scoring a block equals scoring each of its
 positions), and ``block_mix`` mixes the blocks that cover each position.
 Trailing positions whose block holds zero fill keep that block's value and
 take part in the softmax like any other candidate.
+
+Calibration, softmax(P P^T) P over the (L, C) score matrix P, is the
+one-head, unit-scale case of ``multi_head_attention`` with q = k = v = P.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ class GbstConfig:
     conv_kernel_size: int | None = 5
     enable_offsets: bool = False
     enable_calibration: bool = False
-    pooling: str = "mean"
 
     def __post_init__(self):
         if self.embedding_dim < 1:
@@ -51,8 +53,6 @@ class GbstConfig:
                 raise ConfigError(
                     f"conv_kernel_size must be odd and >= 1, got {self.conv_kernel_size}"
                 )
-        if self.pooling != "mean":
-            raise ConfigError(f"unsupported pooling {self.pooling!r}")
 
     def stream_keys(self) -> list[tuple[int, int]]:
         """(block size, offset) pairs in candidate order."""
@@ -65,9 +65,6 @@ class GbstConfig:
 
     def stream_count(self) -> int:
         return len(self.stream_keys())
-
-    def stream_labels(self) -> list[str]:
-        return [_label(b, o) for b, o in self.stream_keys()]
 
 
 def _label(b: int, o: int) -> str:
@@ -174,12 +171,12 @@ def score_blocks(candidates: BlockCandidates, scorer: Tensor) -> ScoreMatrix:
 
 def calibrate_scores(weights: Tensor) -> Tensor:
     """Let positions' block distributions inform each other:
-    projection-free self-attention over the score rows, softmax(P P^T) P."""
+    projection-free self-attention over the score rows, softmax(P P^T) P,
+    which is one-head attention with q = k = v = P and unit scale."""
     rows = weights.data.sum(axis=-1)
     if rows.size and np.abs(rows - 1.0).max() > 1e-6:
         raise ShapeError("calibration input rows must sum to 1")
-    attn = T.softmax_last_axis(T.matmul(weights, T.transpose_2d(weights)))
-    return T.matmul(attn, weights)
+    return T.multi_head_attention(weights, weights, weights, 1, scale=1.0)
 
 
 def form_latent(candidates: BlockCandidates, weights: Tensor) -> Tensor:

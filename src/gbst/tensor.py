@@ -133,8 +133,10 @@ def _accumulate(t, g: np.ndarray) -> None:
     if not (isinstance(t, Tensor) and t.requires_grad):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # the bits of zeros + g, -0.0 turned to +0.0 included, without the zero fill
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -198,17 +200,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), _bw)
 
 
-def transpose_2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose_2d expects a 2-D tensor, got {x.shape}")
-    out = x.data.T.copy()
-
-    def _bw(g):
-        _accumulate(x, g.T)
-
-    return _record("transpose_2d", out, (x,), _bw)
-
-
 def add(a: Tensor, b) -> Tensor:
     """Elementwise sum; also accepts a python scalar or a broadcastable operand
     (row vector against a matrix, scalar tensor)."""
@@ -270,35 +261,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         _accumulate(x, full)
 
     return _record("slice_rows", out, (x,), _bw)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    d = x.shape[1]
-    if not (0 <= start <= stop <= d):
-        raise ShapeError(f"slice_cols [{start}:{stop}] outside 0..{d}")
-    out = x.data[:, start:stop].copy()
-
-    def _bw(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accumulate(x, full)
-
-    return _record("slice_cols", out, (x,), _bw)
-
-
-def concat_last_axis(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_last_axis needs at least one part")
-    widths = [p.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
-
-    def _bw(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[..., off : off + w].copy())
-            off += w
-
-    return _record("concat_last_axis", out, tuple(parts), _bw)
 
 
 def mean_pool_1d(x: Tensor, window: int) -> Tensor:
@@ -473,13 +435,17 @@ def multi_head_attention(
     heads: int,
     mask: np.ndarray | None = None,
     collect: list | None = None,
+    scale: float | None = None,
 ) -> Tensor:
     """Scaled dot-product attention over ``heads`` column groups, as one op.
 
     ``q`` is (n, heads*hd) and ``k``/``v`` are (m, heads*hd); head i owns
     columns [i*hd, (i+1)*hd). ``mask`` is an optional constant additive
-    (n, m) array. Returns the (n, heads*hd) head outputs side by side.
-    ``collect`` receives the (n, m) probability matrix of each head.
+    (n, m) array. ``scale`` multiplies the scores and defaults to
+    1/sqrt(hd). Returns the (n, heads*hd) head outputs side by side.
+    ``collect`` receives the (n, m) probability matrix of each head. GBST
+    score calibration, softmax(P P^T) P, is the one-head, unit-scale case
+    with q = k = v = P.
 
     The products run per head as 2-D matmuls on contiguous copies, in the
     operand layouts of the per-head chain of slice, transpose, matmul, scale,
@@ -498,7 +464,8 @@ def multi_head_attention(
     if mask is not None and np.shape(mask) != (n, m):
         raise ShapeError(f"mask must have shape ({n}, {m}), got {np.shape(mask)}")
     hd = width // heads
-    scale = 1.0 / math.sqrt(hd)
+    if scale is None:
+        scale = 1.0 / math.sqrt(hd)
     qh = q.data.reshape(n, heads, hd).transpose(1, 0, 2).copy()  # (h, n, hd)
     kt = k.data.reshape(m, heads, hd).transpose(1, 2, 0).copy()  # (h, hd, m)
     vh = v.data.reshape(m, heads, hd).transpose(1, 0, 2).copy()  # (h, m, hd)
@@ -534,9 +501,11 @@ def multi_head_attention(
         for i in range(heads):
             gq[:, i] = gs[i] @ kt[i].T
             gk[:, i] = (qh[i].T @ gs[i]).T
+        # the chain's order (v, then q, then k's transpose): it keeps the bits
+        # of a gradient when q, k and v are one tensor, as in calibration
+        _accumulate(v, gv.reshape(m, width))
         _accumulate(q, gq.reshape(n, width))
         _accumulate(k, gk.reshape(m, width))
-        _accumulate(v, gv.reshape(m, width))
 
     return _record("multi_head_attention", out, (q, k, v), _bw)
 

@@ -143,23 +143,30 @@ def test_resolved_config_reproduces_run(tmp_path):
         ("pretrain-corpus", "directory"),
         ("pretrain-config", "directory"),
         ("score-viz-checkpoint", "directory"),
+        ("pretrain-corpus", "missing"),
+        ("finetune-checkpoint", "missing"),
+        ("score-viz-checkpoint", "missing"),
     ],
 )
 def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, command, kind):
     bad = tmp_path / "unreadable"
     if kind == "directory":
         bad.mkdir()
-    else:
+    elif kind == "not-utf8":
         bad.write_bytes(b"steps = 1\n# caf\xe9 in latin-1\n")
-    out = str(tmp_path / "out")
+    out = tmp_path / "out"
     if command == "pretrain-corpus":
-        argv = ["pretrain", "--config", write_config(tmp_path, TINY, corpus=str(bad)), "--out", out]
+        argv = ["pretrain", "--config", write_config(tmp_path, TINY, corpus=str(bad))]
     elif command == "pretrain-config":
-        argv = ["pretrain", "--config", str(bad), "--out", out]
+        argv = ["pretrain", "--config", str(bad)]
+    elif command == "finetune-checkpoint":
+        argv = ["finetune", "--config", write_config(tmp_path, TINY, checkpoint=str(bad))]
     else:
-        argv = ["score-viz", "--checkpoint", str(bad), "--text", "abc", "--out", out]
-    assert main(argv) == 2
+        argv = ["score-viz", "--checkpoint", str(bad), "--text", "abc"]
+    assert main(argv + ["--out", str(out)]) == 2
     assert str(bad) in capsys.readouterr().err
+    # a run that cannot start leaves no resolved config behind
+    assert not (out / "config.resolved.txt").exists()
 
 
 def test_finetune_requires_checkpoint(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -264,6 +265,21 @@ def test_checkpoint_header_defects_are_config_errors(tmp_path, capsys, defect):
     argv = ["score-viz", "--checkpoint", str(bad), "--text", "hi", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "bad.gbst" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pooling, code", [("mean", 0), ("max", 2)])
+def test_checkpoint_gbst_pooling_key(tmp_path, capsys, pooling, code):
+    # files written while GbstConfig had a pooling field carry "pooling": "mean"
+    state = desk_state(seed=1)
+    path = tmp_path / "ck.gbst"
+    save_checkpoint(state, str(path))
+    rewrite_checkpoint(path, path, {"gbst": {**asdict(state.gbst), "pooling": pooling}})
+    argv = ["score-viz", "--checkpoint", str(path), "--text", "hi", "--out", str(tmp_path)]
+    assert main(argv) == code
+    if code == 0:
+        assert load_checkpoint(str(path)).gbst == state.gbst
+    else:
+        assert "pooling 'max'" in capsys.readouterr().err
 
 
 def test_gradcheck_both_frontends():

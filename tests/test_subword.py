@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbst import tensor as T
 from gbst.errors import ConfigError, ShapeError
@@ -166,6 +168,44 @@ def test_calibration_matches_loop_oracle():
 def test_calibration_rejects_unnormalized_rows():
     with pytest.raises(ShapeError):
         calibrate_scores(Tensor(np.ones((3, 2))))
+
+
+def transpose_2d(x):
+    def _bw(g):
+        T._accumulate(x, g.T)
+
+    return T._record("transpose_2d", x.data.T.copy(), (x,), _bw)
+
+
+def calibration_chain(p):
+    """softmax(P P^T) P as the chain of ops that calibrate_scores replaced."""
+    return T.matmul(T.softmax_last_axis(T.matmul(p, transpose_2d(p))), p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), c=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_calibration_bit_identical_to_chain(n, c, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(scale=3.0, size=(n, c))
+    w_out, w_p = Tensor(rng.normal(size=(n, c))), Tensor(rng.normal(size=(n, c)))
+    results = []
+    for calibrate in (calibration_chain, calibrate_scores):
+        reset_tape()
+        logits = Tensor(raw.copy(), requires_grad=True)
+        p = T.softmax_last_axis(logits)
+        out = calibrate(p)
+        # P's gradient holds a second term before calibration's, so the order
+        # in which calibration adds its three terms shows in the bits
+        backward(T.add(T.sum_all(T.mul(out, w_out)), T.sum_all(T.mul(p, w_p))))
+        results.append([out.data, p.grad, logits.grad])
+    for fused, chain in zip(results[1], results[0]):
+        assert fused.tobytes() == chain.tobytes()
+
+
+def test_calibration_is_one_tape_record():
+    p = Tensor(np.full((4, 2), 0.5), requires_grad=True)
+    calibrate_scores(p)
+    assert [name for _, _, name in T.active_tape().records] == ["multi_head_attention"]
 
 
 # --- form_latent ---------------------------------------------------------------
@@ -407,7 +447,10 @@ def test_serialize_scores_format():
 
 def test_serialize_labels_with_offsets():
     cfg = make_cfg(d=2, max_block_size=2, enable_offsets=True)
-    assert cfg.stream_labels() == ["b=1", "b=2", "b=2,o=1"]
+    x = Tensor(np.random.default_rng(21).normal(size=(5, 2)))
+    scores = score_blocks(enumerate_blocks(x, cfg), random_params(cfg, seed=21).scorer)
+    lines = serialize_scores(scores).strip().split("\n")
+    assert [line.split("\t")[0] for line in lines] == ["b=1", "b=2", "b=2,o=1"]
 
 
 def test_config_validation():
@@ -415,5 +458,3 @@ def test_config_validation():
         GbstConfig(embedding_dim=4, conv_kernel_size=4)
     with pytest.raises(ConfigError):
         GbstConfig(embedding_dim=4, max_block_size=0)
-    with pytest.raises(ConfigError):
-        GbstConfig(embedding_dim=4, pooling="max")

@@ -299,6 +299,37 @@ def test_softmax_gradient_vs_fd():
 
 
 # --- multi_head_attention ---------------------------------------------------
+# The per-head chain that multi_head_attention replaced is the reference; the
+# three ops only it uses are defined here, each one tape record.
+
+
+def transpose_2d(x):
+    def _bw(g):
+        T._accumulate(x, g.T)
+
+    return T._record("transpose_2d", x.data.T.copy(), (x,), _bw)
+
+
+def slice_cols(x, start, stop):
+    def _bw(g):
+        full = np.zeros_like(x.data)
+        full[:, start:stop] = g
+        T._accumulate(x, full)
+
+    return T._record("slice_cols", x.data[:, start:stop].copy(), (x,), _bw)
+
+
+def concat_last_axis(parts):
+    widths = [p.shape[-1] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=-1)
+
+    def _bw(g):
+        off = 0
+        for p, w in zip(parts, widths):
+            T._accumulate(p, g[..., off : off + w].copy())
+            off += w
+
+    return T._record("concat_last_axis", out, tuple(parts), _bw)
 
 
 def unfused_attention(q, k, v, heads, mask=None):
@@ -307,14 +338,14 @@ def unfused_attention(q, k, v, heads, mask=None):
     scale = 1.0 / math.sqrt(hd)
     outs = []
     for i in range(heads):
-        qs = T.slice_cols(q, i * hd, (i + 1) * hd)
-        ks = T.slice_cols(k, i * hd, (i + 1) * hd)
-        vs = T.slice_cols(v, i * hd, (i + 1) * hd)
-        scores = T.mul(T.matmul(qs, T.transpose_2d(ks)), scale)
+        qs = slice_cols(q, i * hd, (i + 1) * hd)
+        ks = slice_cols(k, i * hd, (i + 1) * hd)
+        vs = slice_cols(v, i * hd, (i + 1) * hd)
+        scores = T.mul(T.matmul(qs, transpose_2d(ks)), scale)
         if mask is not None:
             scores = T.add(scores, T.constant(mask))
         outs.append(T.matmul(T.softmax_last_axis(scores), vs))
-    return outs[0] if heads == 1 else T.concat_last_axis(outs)
+    return outs[0] if heads == 1 else concat_last_axis(outs)
 
 
 def random_mask(rng, n, m):
@@ -358,6 +389,16 @@ def test_attention_gradient_vs_fd(masked):
     check_op_grad(
         lambda: T.sum_all(T.mul(T.multi_head_attention(q, k, v, 2, mask), w)),
         [q, k, v],
+    )
+
+
+def test_attention_shared_operand_gradient_vs_fd():
+    # q = k = v with unit scale: the form GBST score calibration takes
+    rng = np.random.default_rng(16)
+    p = Parameter("p", rng.normal(size=(5, 3)))
+    w = Tensor(rng.normal(size=(5, 3)))
+    check_op_grad(
+        lambda: T.sum_all(T.mul(T.multi_head_attention(p, p, p, 1, scale=1.0), w)), [p]
     )
 
 
@@ -504,13 +545,13 @@ def test_pad_slice_roundtrip_and_grads():
 def test_slice_cols_and_concat_inverse():
     rng = np.random.default_rng(11)
     x = Parameter("x", rng.normal(size=(3, 6)))
-    parts = [T.slice_cols(x, i, i + 2) for i in (0, 2, 4)]
-    merged = T.concat_last_axis(parts)
+    parts = [slice_cols(x, i, i + 2) for i in (0, 2, 4)]
+    merged = concat_last_axis(parts)
     npt.assert_array_equal(merged.data, x.data)
     w = Tensor(rng.normal(size=(3, 6)))
     check_op_grad(
         lambda: T.sum_all(
-            T.mul(T.concat_last_axis([T.slice_cols(x, 0, 2), T.slice_cols(x, 2, 6)]), w)
+            T.mul(concat_last_axis([slice_cols(x, 0, 2), slice_cols(x, 2, 6)]), w)
         ),
         [x],
     )
@@ -520,7 +561,7 @@ def test_transpose_gradient():
     rng = np.random.default_rng(12)
     x = Parameter("x", rng.normal(size=(3, 5)))
     w = Tensor(rng.normal(size=(5, 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.transpose_2d(x), w)), [x])
+    check_op_grad(lambda: T.sum_all(T.mul(transpose_2d(x), w)), [x])
 
 
 def test_embedding_gather_counts():
