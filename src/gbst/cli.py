@@ -41,6 +41,8 @@ def _load_run_config(args, command: str) -> RunConfig:
     cfg = resolve_for(command, cfg)
     if cfg.corpus is None:
         cfg = dataclasses.replace(cfg, corpus=bundled_corpus_path())
+    # building each section checks its values, before a command writes anything
+    cfg.stack_config(), cfg.gbst_config(), cfg.train_config()
     return cfg
 
 
@@ -54,7 +56,6 @@ def _run_training(cfg: RunConfig, state: ModelState) -> int:
     docs = load_corpus(cfg.corpus)
     _write_resolved(cfg)
     train_cfg = cfg.train_config()
-    state.run_config = dataclasses.asdict(cfg)
     log_path = os.path.join(cfg.out_dir, "metrics.log")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.gbst")
 

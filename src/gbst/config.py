@@ -1,5 +1,10 @@
 """Flat `key = value` run configuration shared by all CLI commands.
 
+The keys are the fields of ``StackConfig``, ``GbstConfig`` and ``TrainConfig``,
+with their types and defaults (``StackConfig.d_model`` is the ``embedding_dim``
+key). ``RunConfig`` declares only what is its own: the paths, and
+``learning_rate`` and ``schedule``, unset until ``resolve_for`` fills them in.
+
 One key per line, `#` starts a comment, booleans are true/false, and `none`
 clears an optional. Every run writes its fully resolved config next to its
 outputs; feeding that file back reproduces the run.
@@ -8,49 +13,44 @@ outputs; feeding that file back reproduces the run.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import field, fields
 
 from .errors import ConfigError
 from .model import StackConfig
 from .subword import GbstConfig
 from .train import TrainConfig
 
+_SECTIONS = (StackConfig, GbstConfig, TrainConfig)
+_KEY = {"d_model": "embedding_dim"}  # section field -> key, where the two differ
+# key -> (type, default) of RunConfig's own fields; learning_rate and schedule
+# replace TrainConfig's, so that each command can default them differently
+_OWN = {
+    "learning_rate": (float | None, None),
+    "schedule": (str | None, None),
+    "corpus": (str | None, None),
+    "checkpoint": (str | None, None),
+    "out_dir": (str, "runs/latest"),
+}
 
-@dataclass
-class RunConfig:
-    # frontend / soft tokenization
-    frontend: str = "gbst"
-    max_block_size: int = 4
-    downsample_rate: int = 2
-    conv_kernel_size: int | None = 5
-    enable_offsets: bool = False
-    enable_calibration: bool = False
-    # transformer stack
-    embedding_dim: int = 64
-    encoder_layers: int = 2
-    decoder_layers: int = 2
-    heads: int = 4
-    head_dim: int = 16
-    ffn_dim: int = 256
-    max_positions: int = 512
-    # training
-    batch_size: int = 8
-    steps: int = 500
-    learning_rate: float | None = None  # per-command default if unset
-    schedule: str | None = None  # per-command default if unset
-    warmup: int = 100
-    seed: int = 0
-    freeze_gbst: bool = False
-    optimizer: str = "adam"
-    grad_clip: float = 1.0
-    corruption_rate: float = 0.15
-    mean_span: float = 20.0
-    window_len: int = 128
-    checkpoint_every: int = 0
-    # paths
-    corpus: str | None = None
-    checkpoint: str | None = None
-    out_dir: str = "runs/latest"
+
+def _keys() -> list[tuple[str, object, dataclasses.Field]]:
+    """(key, type, default) of every section field in section order, then the paths."""
+    keys = {}
+    for cls in _SECTIONS:
+        types = typing.get_type_hints(cls)
+        for f in fields(cls):
+            keys.setdefault(_KEY.get(f.name, f.name), (types[f.name], f.default))
+    keys.update(_OWN)
+    return [(key, kind, field(default=default)) for key, (kind, default) in keys.items()]
+
+
+def _build(cls, cfg):
+    return cls(**{f.name: getattr(cfg, _KEY.get(f.name, f.name)) for f in fields(cls)})
+
+
+class _Sections:
+    """The section configs that a RunConfig's keys describe."""
 
     def gbst_config(self) -> GbstConfig | None:
         return _build(GbstConfig, self) if self.frontend == "gbst" else None
@@ -64,11 +64,9 @@ class RunConfig:
         return _build(TrainConfig, self)
 
 
-def _build(cls, cfg: RunConfig):
-    """``cls`` filled from the RunConfig keys of the same name (``d_model`` from
-    ``embedding_dim``); fields that have no key keep their defaults."""
-    keys = {f.name: "embedding_dim" if f.name == "d_model" else f.name for f in fields(cls)}
-    return cls(**{name: getattr(cfg, key) for name, key in keys.items() if key in _FIELDS})
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", _keys(), bases=(_Sections,), namespace={"__module__": __name__}
+)
 
 
 # commands fill LR defaults differently: pre-training decays from a higher
@@ -80,46 +78,36 @@ _COMMAND_DEFAULTS = {
 
 
 def resolve_for(command: str, cfg: RunConfig) -> RunConfig:
-    out = dataclasses.replace(cfg)
     defaults = _COMMAND_DEFAULTS.get(command, _COMMAND_DEFAULTS["pretrain"])
-    if out.schedule is None:
-        out.schedule = defaults["schedule"]
-    if out.learning_rate is None:
-        out.learning_rate = defaults["learning_rate"]
-    return out
+    unset = {key: value for key, value in defaults.items() if getattr(cfg, key) is None}
+    return dataclasses.replace(cfg, **unset)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
-_OPTIONAL_INT = ("conv_kernel_size",)
-_OPTIONAL_STR = ("corpus", "checkpoint", "schedule")
-_OPTIONAL_FLOAT = ("learning_rate",)
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key: {key}")
+    kind = _FIELDS[key].type
     if raw.lower() == "none":
-        if key in _OPTIONAL_INT + _OPTIONAL_STR + _OPTIONAL_FLOAT:
+        if type(None) in typing.get_args(kind):
             return None
         raise ConfigError(f"config key {key} cannot be none")
-    default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
+    kind = next((t for t in typing.get_args(kind) if t is not type(None)), kind)
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"config key {key} expects true/false, got {raw!r}")
-    if key in _OPTIONAL_INT or isinstance(default, int):
+    if kind in (int, float):
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"config key {key} expects an integer, got {raw!r}")
-    if key in _OPTIONAL_FLOAT or isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key} expects a number, got {raw!r}")
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"config key {key} expects {expected}, got {raw!r}")
     return raw
 
 
@@ -149,6 +137,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def format_config(cfg: RunConfig) -> str:
+    """Floats are written with ``repr``, the shortest text that reads back
+    as the same float, so the resolved file reproduces the run."""
     lines = ["# resolved run configuration"]
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
@@ -156,9 +146,7 @@ def format_config(cfg: RunConfig) -> str:
             rendered = "none"
         elif isinstance(value, bool):
             rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = f"{value:.10g}"
         else:
-            rendered = str(value)
+            rendered = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"

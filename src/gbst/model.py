@@ -17,7 +17,8 @@ import numpy as np
 from . import tensor as T
 from .bytes_data import VOCAB_SIZE, ByteSequence, SpanCorruptionExample, is_sentinel, sentinel_id
 from .errors import ConfigError, ShapeError, TapeError
-from .subword import GbstConfig, GbstOutput, GbstParams, gbst_forward
+from .subword import GbstConfig, GbstOutput, GbstParams, gbst_forward, gbst_parameter_specs
+from .subword import init_gbst_params
 from .tensor import Parameter, Tensor, no_grad
 
 BOS_ID = sentinel_id(0)  # 255 doubles as the decoder start token
@@ -50,7 +51,8 @@ class StackConfig:
 
 def parameter_shapes(stack: StackConfig, gbst: GbstConfig | None) -> dict[str, tuple[int, ...]]:
     """Name -> shape for every parameter, in creation order. Single source of
-    truth for model construction, checkpointing, and parameter counting."""
+    truth for model construction, checkpointing, and parameter counting; the
+    GBST entries are ``subword.gbst_parameter_specs`` under a ``gbst.`` prefix."""
     d, h, hd, f = stack.d_model, stack.heads, stack.head_dim, stack.ffn_dim
     shapes: dict[str, tuple[int, ...]] = {}
     shapes["embedding"] = (VOCAB_SIZE, d)
@@ -63,10 +65,7 @@ def parameter_shapes(stack: StackConfig, gbst: GbstConfig | None) -> dict[str, t
             raise ConfigError(
                 f"gbst embedding_dim {gbst.embedding_dim} must equal d_model {d}"
             )
-        if gbst.conv_kernel_size is not None:
-            shapes["gbst.conv_filters"] = (gbst.conv_kernel_size, d, d)
-            shapes["gbst.conv_bias"] = (d,)
-        shapes["gbst.scorer"] = (d, 1)
+        shapes.update(("gbst." + n, shape) for n, (shape, _) in gbst_parameter_specs(gbst).items())
 
     def attn(prefix: str):
         shapes[f"{prefix}.wq"] = (d, h * hd)
@@ -119,21 +118,17 @@ def _init_value(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> 
 class ModelState:
     """All parameters plus the step counter."""
 
-    def __init__(
-        self,
-        stack: StackConfig,
-        gbst: GbstConfig | None = None,
-        seed: int = 0,
-        run_config: dict | None = None,
-    ):
+    def __init__(self, stack: StackConfig, gbst: GbstConfig | None = None, seed: int = 0):
         self.stack = stack
         self.gbst = gbst
-        self.run_config = run_config or {}
         self.step = 0
         rng = np.random.default_rng(seed)
         self.params: dict[str, Parameter] = {}
         for name, shape in parameter_shapes(stack, gbst).items():
-            self.params[name] = Parameter(name, _init_value(name, shape, rng))
+            if not name.startswith("gbst."):
+                self.params[name] = Parameter(name, _init_value(name, shape, rng))
+            elif name not in self.params:  # the first GBST name draws all of them
+                self.params.update((p.name, p) for p in init_gbst_params(gbst, rng).parameters())
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -153,11 +148,7 @@ class ModelState:
     def gbst_param_view(self) -> GbstParams:
         if self.stack.frontend != "gbst":
             raise ConfigError("model has no gbst frontend")
-        return GbstParams(
-            scorer=self.params["gbst.scorer"],
-            conv_filters=self.params.get("gbst.conv_filters"),
-            conv_bias=self.params.get("gbst.conv_bias"),
-        )
+        return GbstParams(**{p.name[len("gbst."):]: p for p in self.gbst_parameters()})
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -373,7 +364,6 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         "step": state.step,
         "stack": asdict(state.stack),
         "gbst": asdict(state.gbst) if state.gbst is not None else None,
-        "run_config": state.run_config,
         "params": [
             {"name": n, "shape": list(p.data.shape)} for n, p in state.params.items()
         ],
@@ -417,7 +407,7 @@ def load_checkpoint(path: str) -> ModelState:
             metas = [(m["name"], tuple(int(s) for s in m["shape"])) for m in header["params"]]
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} has a malformed header: {type(err).__name__}: {err}")
-        state = ModelState(stack, gbst, seed=0, run_config=header.get("run_config") or {})
+        state = ModelState(stack, gbst, seed=0)
         state.step = step
         missing = set(state.params)
         for name, shape in metas:

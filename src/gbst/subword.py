@@ -130,20 +130,28 @@ class GbstParams:
     conv_bias: Parameter | None = None
 
     def parameters(self) -> list[Parameter]:
-        return [p for p in (self.scorer, self.conv_filters, self.conv_bias) if p is not None]
+        return [p for p in (self.conv_filters, self.conv_bias, self.scorer) if p is not None]
+
+
+def gbst_parameter_specs(cfg: GbstConfig) -> dict[str, tuple[tuple[int, ...], float]]:
+    """Name -> (shape, init std) of every parameter of the layer, in parameter
+    order. Weights are drawn from N(0, 1/fan_in); a std of 0 means zeros."""
+    d = cfg.embedding_dim
+    specs = {}
+    if cfg.conv_kernel_size is not None:
+        k = cfg.conv_kernel_size
+        specs["conv_filters"] = ((k, d, d), (k * d) ** -0.5)
+        specs["conv_bias"] = ((d,), 0.0)
+    specs["scorer"] = ((d, 1), d ** -0.5)
+    return specs
 
 
 def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator, prefix: str = "gbst.") -> GbstParams:
-    d = cfg.embedding_dim
-    scorer = Parameter(prefix + "scorer", rng.normal(0.0, d ** -0.5, size=(d, 1)))
-    filters = bias = None
-    if cfg.conv_kernel_size is not None:
-        k = cfg.conv_kernel_size
-        filters = Parameter(
-            prefix + "conv_filters", rng.normal(0.0, (k * d) ** -0.5, size=(k, d, d))
-        )
-        bias = Parameter(prefix + "conv_bias", np.zeros(d))
-    return GbstParams(scorer=scorer, conv_filters=filters, conv_bias=bias)
+    """Draws in parameter order; a zero-initialized parameter takes no draw."""
+    return GbstParams(**{
+        name: Parameter(prefix + name, rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
+        for name, (shape, std) in gbst_parameter_specs(cfg).items()
+    })
 
 
 def enumerate_blocks(x: Tensor, cfg: GbstConfig) -> BlockCandidates:

@@ -50,8 +50,20 @@ class TrainConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size < 1 or self.steps < 0:
-            raise ConfigError("batch_size must be >= 1 and steps >= 0")
+        rules = {
+            "batch_size": (self.batch_size >= 1, ">= 1"),
+            "steps": (self.steps >= 0, ">= 0"),
+            "learning_rate": (0.0 <= self.learning_rate < math.inf, "finite and >= 0"),  # nan fails
+            "warmup": (self.warmup >= 0, ">= 0"),
+            "grad_clip": (self.grad_clip >= 0, ">= 0"),
+            "checkpoint_every": (self.checkpoint_every >= 0, ">= 0"),
+            "window_len": (self.window_len >= 1, ">= 1"),
+            "corruption_rate": (0.0 < self.corruption_rate < 1.0, "in (0, 1)"),
+            "mean_span": (self.mean_span >= 1.0, ">= 1"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def learning_rate_at(cfg: TrainConfig, step: int) -> float:

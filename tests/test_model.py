@@ -24,7 +24,7 @@ from gbst.model import (
     run_frontend,
     save_checkpoint,
 )
-from gbst.subword import GbstConfig
+from gbst.subword import GbstConfig, gbst_parameter_specs
 from gbst.tensor import Tensor, no_grad, reset_tape
 from gbst.train import TrainConfig, evaluate, make_optimizer, train_step
 
@@ -169,6 +169,14 @@ def test_kv_cache_rejects_gradients_and_a_different_memory():
             decode_stack(state, other, [BOS_ID], None, cache)
 
 
+def test_gbst_parameters_follow_their_declaration():
+    state = desk_state(seed=2)
+    specs = gbst_parameter_specs(state.gbst)
+    assert [p.name for p in state.gbst_parameters()] == ["gbst." + n for n in specs]
+    assert [p.data.shape for p in state.gbst_parameters()] == [shape for shape, _ in specs.values()]
+    assert not state["gbst.conv_bias"].data.any()  # a std of 0 is a zero init
+
+
 def test_checkpoint_round_trip_bit_identical():
     state = desk_state(seed=3)
     state.step = 17
@@ -280,6 +288,18 @@ def test_checkpoint_gbst_pooling_key(tmp_path, capsys, pooling, code):
         assert load_checkpoint(str(path)).gbst == state.gbst
     else:
         assert "pooling 'max'" in capsys.readouterr().err
+
+
+def test_checkpoint_ignores_a_run_config_key(tmp_path):
+    # files written before checkpoints stopped copying the run config carry one
+    state = desk_state(seed=1)
+    path = tmp_path / "ck.gbst"
+    save_checkpoint(state, str(path))
+    rewrite_checkpoint(path, path, {"run_config": {"out_dir": "elsewhere", "seed": 9}})
+    loaded = load_checkpoint(str(path))
+    assert not hasattr(loaded, "run_config")
+    for name, p in state.params.items():
+        assert p.data.tobytes() == loaded[name].data.tobytes(), name
 
 
 def test_gradcheck_both_frontends():
