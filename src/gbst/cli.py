@@ -14,14 +14,14 @@ from importlib import resources
 
 import numpy as np
 
-from .bytes_data import ByteSequence, embed, encode, load_corpus
-from .config import RunConfig, format_config, load_config, resolve_for
+from .bytes_data import encode, load_corpus
+from .config import RunConfig, format_config, load_config, resolve_for, with_model
 from .errors import ConfigError, ShapeError
 from .flops import benchmark_steps, count_flops
 from .gradcheck import DEFAULT_TOLERANCE, REQUIRED_GROUPS, run_suite
-from .model import ModelState, load_checkpoint, save_checkpoint
+from .model import ModelState, load_checkpoint, run_frontend, save_checkpoint
 from .reference import run_oracle_suite
-from .subword import gbst_forward, serialize_scores
+from .subword import serialize_scores
 from .tensor import no_grad
 from .train import TrainingAborted, dump_batch, train_loop
 
@@ -92,7 +92,8 @@ def cmd_finetune(args) -> int:
         return 2
     state = load_checkpoint(cfg.checkpoint)
     state.step = 0
-    return _run_training(cfg, state)
+    # the resolved config describes the checkpoint's model, which is the one trained
+    return _run_training(with_model(cfg, state.stack, state.gbst), state)
 
 
 def _heatmap(weights: np.ndarray, labels: list[str]) -> str:
@@ -121,8 +122,7 @@ def cmd_score_viz(args) -> int:
         print(f"warning: input truncated to {max_bytes} bytes", file=sys.stderr)
         ids = ids[:max_bytes]
     with no_grad():
-        x = embed(ByteSequence(ids), state["embedding"])
-        out = gbst_forward(x, state.gbst, state.gbst_param_view())
+        _, out = run_frontend(state, ids)
     tsv = serialize_scores(out.scores)
     sys.stdout.write(tsv)
     print(_heatmap(out.scores.mixing_weights().data, out.scores.labels))

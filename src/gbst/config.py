@@ -83,6 +83,14 @@ def resolve_for(command: str, cfg: RunConfig) -> RunConfig:
     return dataclasses.replace(cfg, **unset)
 
 
+def with_model(cfg: RunConfig, stack: StackConfig, gbst: GbstConfig | None) -> RunConfig:
+    """``cfg`` with its stack and GBST keys taken from a model's configs."""
+    sections = [s for s in (stack, gbst) if s is not None]
+    return dataclasses.replace(
+        cfg, **{_KEY.get(f.name, f.name): getattr(s, f.name) for s in sections for f in fields(s)}
+    )
+
+
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
 

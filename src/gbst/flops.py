@@ -18,7 +18,7 @@ import numpy as np
 
 from .bytes_data import ByteSequence
 from .errors import ConfigError
-from .model import ModelState, StackConfig, parameter_shapes
+from .model import ModelState, StackConfig, parameter_specs
 from .subword import GbstConfig
 from .train import TrainConfig, make_batch, make_optimizer, train_step
 
@@ -37,9 +37,10 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def default_target_len(seq_len: int, corruption_rate: float = 0.15, mean_span: float = 20.0) -> int:
-    corrupted = max(1, round(corruption_rate * seq_len))
-    spans = max(1, round(corrupted / mean_span))
+def default_target_len(seq_len: int) -> int:
+    """Target length of a span-corrupted ``seq_len`` window at TrainConfig's defaults."""
+    corrupted = max(1, round(TrainConfig.corruption_rate * seq_len))
+    spans = max(1, round(corrupted / TrainConfig.mean_span))
     return corrupted + spans + 1
 
 
@@ -88,7 +89,7 @@ def count_flops(
     bd = {name: flops for name, flops in bd.items() if flops}
     total = sum(bd.values())
     params = sum(
-        int(np.prod(shape)) for shape in parameter_shapes(stack, gbst).values()
+        int(np.prod(shape)) for shape, _, _ in parameter_specs(stack, gbst).values()
     )
     return CostReport(params=params, flops_forward=total, breakdown=bd)
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .bytes_data import ByteSequence, corrupt_spans, encode
+from .errors import ConfigError
 from .model import ModelState, StackConfig, example_loss
 from .subword import GbstConfig
-from .tensor import Parameter, backward, no_grad, reset_tape
+from .tensor import Parameter, active_tape, backward, no_grad, reset_tape
 
 REQUIRED_GROUPS = ("embedding", "conv", "scorer", "attention", "ffn")
 DEFAULT_TOLERANCE = 1e-4
@@ -80,17 +80,32 @@ def _relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-6)
 
 
+def _corrupt_backward(op: str) -> None:
+    """Scale by 1.05 the upstream gradient that each tape record of ``op``
+    passes to its backward rule."""
+    records = active_tape().records
+    if all(name != op for _, _, name in records):
+        raise ConfigError(f"cannot corrupt op {op!r}: the model's loss records no such op")
+    records[:] = [
+        (out, (lambda g, fn=fn: fn(g * 1.05)) if name == op else fn, name) for out, fn, name in records
+    ]
+
+
 def check_model_gradients(
     state: ModelState,
     example,
     seed: int = 0,
     entries_per_param: int = 2,
+    corrupt_op: str | None = None,
 ) -> dict[str, float]:
-    """Max relative analytic-vs-FD error per parameter group."""
+    """Max relative analytic-vs-FD error per parameter group. ``corrupt_op``
+    corrupts that op's backward rule for the analytic pass (negative control)."""
     rng = np.random.default_rng(seed)
     reset_tape()
     state.zero_grads()
     loss = example_loss(state, example)
+    if corrupt_op is not None:
+        _corrupt_backward(corrupt_op)
     backward(loss)
     report: dict[str, float] = {}
     for p in state.parameters():
@@ -127,18 +142,14 @@ def run_suite(
     """Aggregate group report over several seeded models; True iff all pass.
 
     ``corrupt_op`` injects a deliberate fault into that op's backward rule
-    (negative control: the suite must then fail).
+    (negative control: the suite must then fail); an op the loss does not
+    record is a ``ConfigError``.
     """
-    if corrupt_op is not None:
-        T.set_backward_fault(corrupt_op, 1.05)
-    try:
-        merged: dict[str, float] = {}
-        for seed in seeds:
-            state, example = build_probe(seed=seed, frontend=frontend)
-            report = check_model_gradients(state, example, seed=seed)
-            for group, err in report.items():
-                merged[group] = max(merged.get(group, 0.0), err)
-    finally:
-        T.clear_backward_fault()
+    merged: dict[str, float] = {}
+    for seed in seeds:
+        state, example = build_probe(seed=seed, frontend=frontend)
+        report = check_model_gradients(state, example, seed=seed, corrupt_op=corrupt_op)
+        for group, err in report.items():
+            merged[group] = max(merged.get(group, 0.0), err)
     ok = all(err < tolerance for err in merged.values())
     return merged, ok

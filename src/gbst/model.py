@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as T
 from .bytes_data import VOCAB_SIZE, ByteSequence, SpanCorruptionExample, is_sentinel, sentinel_id
 from .errors import ConfigError, ShapeError, TapeError
-from .subword import GbstConfig, GbstOutput, GbstParams, gbst_forward, gbst_parameter_specs
-from .subword import init_gbst_params
+from .subword import GbstConfig, GbstOutput, GbstParams, draw_parameter, gbst_forward
+from .subword import gbst_parameter_specs
 from .tensor import Parameter, Tensor, no_grad
 
 BOS_ID = sentinel_id(0)  # 255 doubles as the decoder start token
@@ -49,15 +49,19 @@ class StackConfig:
             raise ConfigError("layer counts must be >= 0")
 
 
-def parameter_shapes(stack: StackConfig, gbst: GbstConfig | None) -> dict[str, tuple[int, ...]]:
-    """Name -> shape for every parameter, in creation order. Single source of
-    truth for model construction, checkpointing, and parameter counting; the
-    GBST entries are ``subword.gbst_parameter_specs`` under a ``gbst.`` prefix."""
+def parameter_specs(
+    stack: StackConfig, gbst: GbstConfig | None
+) -> dict[str, tuple[tuple[int, ...], float, float]]:
+    """Name -> (shape, init std, fill) of every parameter, in creation order:
+    the only place a parameter's shape and initial value are declared. A
+    nonzero std draws N(0, std), 2-D weights with std = fan_in ** -0.5; a
+    zero std fills with ``fill``. The GBST entries are
+    ``subword.gbst_parameter_specs`` under a ``gbst.`` prefix."""
     d, h, hd, f = stack.d_model, stack.heads, stack.head_dim, stack.ffn_dim
-    shapes: dict[str, tuple[int, ...]] = {}
-    shapes["embedding"] = (VOCAB_SIZE, d)
-    shapes["pos_enc"] = (stack.max_positions, d)
-    shapes["pos_dec"] = (stack.max_positions, d)
+    specs: dict[str, tuple[tuple[int, ...], float, float]] = {}
+    specs["embedding"] = ((VOCAB_SIZE, d), 1.0, 0.0)
+    specs["pos_enc"] = ((stack.max_positions, d), 0.02, 0.0)
+    specs["pos_dec"] = ((stack.max_positions, d), 0.02, 0.0)
     if stack.frontend == "gbst":
         if gbst is None:
             raise ConfigError("gbst frontend needs a GbstConfig")
@@ -65,23 +69,23 @@ def parameter_shapes(stack: StackConfig, gbst: GbstConfig | None) -> dict[str, t
             raise ConfigError(
                 f"gbst embedding_dim {gbst.embedding_dim} must equal d_model {d}"
             )
-        shapes.update(("gbst." + n, shape) for n, (shape, _) in gbst_parameter_specs(gbst).items())
+        for n, (shape, std) in gbst_parameter_specs(gbst).items():
+            specs["gbst." + n] = (shape, std, 0.0)
 
     def attn(prefix: str):
-        shapes[f"{prefix}.wq"] = (d, h * hd)
-        shapes[f"{prefix}.wk"] = (d, h * hd)
-        shapes[f"{prefix}.wv"] = (d, h * hd)
-        shapes[f"{prefix}.wo"] = (h * hd, d)
+        for w in ("wq", "wk", "wv"):
+            specs[f"{prefix}.{w}"] = ((d, h * hd), d ** -0.5, 0.0)
+        specs[f"{prefix}.wo"] = ((h * hd, d), (h * hd) ** -0.5, 0.0)
 
     def ln(prefix: str):
-        shapes[f"{prefix}.gain"] = (d,)
-        shapes[f"{prefix}.bias"] = (d,)
+        specs[f"{prefix}.gain"] = ((d,), 0.0, 1.0)
+        specs[f"{prefix}.bias"] = ((d,), 0.0, 0.0)
 
     def ffn(prefix: str):
-        shapes[f"{prefix}.w1"] = (d, f)
-        shapes[f"{prefix}.b1"] = (f,)
-        shapes[f"{prefix}.w2"] = (f, d)
-        shapes[f"{prefix}.b2"] = (d,)
+        specs[f"{prefix}.w1"] = ((d, f), d ** -0.5, 0.0)
+        specs[f"{prefix}.b1"] = ((f,), 0.0, 0.0)
+        specs[f"{prefix}.w2"] = ((f, d), f ** -0.5, 0.0)
+        specs[f"{prefix}.b2"] = ((d,), 0.0, 0.0)
 
     for i in range(stack.encoder_layers):
         ln(f"enc{i}.ln1")
@@ -95,24 +99,9 @@ def parameter_shapes(stack: StackConfig, gbst: GbstConfig | None) -> dict[str, t
         attn(f"dec{i}.cross")
         ln(f"dec{i}.ln3")
         ffn(f"dec{i}.ffn")
-    shapes["out_proj"] = (d, VOCAB_SIZE)
-    return shapes
-
-
-def _init_value(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    if name.endswith(".gain"):
-        return np.ones(shape)
-    if name.endswith(".bias") or name.endswith(".b1") or name.endswith(".b2"):
-        return np.zeros(shape)
-    if name == "embedding":
-        return rng.normal(0.0, 1.0, size=shape)
-    if name.startswith("pos_"):
-        return rng.normal(0.0, 0.02, size=shape)
-    if name == "out_proj":
-        # near-uniform logits at init: untrained loss sits at ln(vocab)
-        return rng.normal(0.0, 0.01, size=shape)
-    fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[:-1]))
-    return rng.normal(0.0, fan_in ** -0.5, size=shape)
+    # near-uniform logits at init: untrained loss sits at ln(vocab)
+    specs["out_proj"] = ((d, VOCAB_SIZE), 0.01, 0.0)
+    return specs
 
 
 class ModelState:
@@ -123,12 +112,10 @@ class ModelState:
         self.gbst = gbst
         self.step = 0
         rng = np.random.default_rng(seed)
-        self.params: dict[str, Parameter] = {}
-        for name, shape in parameter_shapes(stack, gbst).items():
-            if not name.startswith("gbst."):
-                self.params[name] = Parameter(name, _init_value(name, shape, rng))
-            elif name not in self.params:  # the first GBST name draws all of them
-                self.params.update((p.name, p) for p in init_gbst_params(gbst, rng).parameters())
+        self.params: dict[str, Parameter] = {
+            name: draw_parameter(name, shape, std, fill, rng)
+            for name, (shape, std, fill) in parameter_specs(stack, gbst).items()
+        }
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())

@@ -146,10 +146,18 @@ def gbst_parameter_specs(cfg: GbstConfig) -> dict[str, tuple[tuple[int, ...], fl
     return specs
 
 
-def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator, prefix: str = "gbst.") -> GbstParams:
-    """Draws in parameter order; a zero-initialized parameter takes no draw."""
+def draw_parameter(
+    name: str, shape: tuple[int, ...], std: float, fill: float, rng: np.random.Generator
+) -> Parameter:
+    """The one init rule: N(0, std) for a nonzero std; a zero std fills the
+    array with ``fill`` and takes no draw."""
+    return Parameter(name, rng.normal(0.0, std, size=shape) if std else np.full(shape, fill))
+
+
+def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator) -> GbstParams:
+    """Draws in parameter order, under the model's ``gbst.`` names."""
     return GbstParams(**{
-        name: Parameter(prefix + name, rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
+        name: draw_parameter("gbst." + name, shape, std, 0.0, rng)
         for name, (shape, std) in gbst_parameter_specs(cfg).items()
     })
 

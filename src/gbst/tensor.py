@@ -71,9 +71,6 @@ class Tape:
 
 _tape = Tape()
 _grad_enabled = True
-# Test-harness fault injection: (op name, scale) applied to the upstream
-# gradient fed into that op's backward rule. Used as a negative control.
-_backward_fault: tuple[str, float] | None = None
 
 
 def active_tape() -> Tape:
@@ -101,16 +98,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def set_backward_fault(op_name: str, scale: float) -> None:
-    global _backward_fault
-    _backward_fault = (op_name, float(scale))
-
-
-def clear_backward_fault() -> None:
-    global _backward_fault
-    _backward_fault = None
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -167,13 +154,9 @@ def backward(loss: Tensor) -> None:
         raise TapeError("loss is not connected to the tape")
     _tape.consumed = True
     loss.grad = np.ones((), dtype=np.float64)
-    for out, fn, name in reversed(_tape.records):
-        if out.grad is None:
-            continue
-        g = out.grad
-        if _backward_fault is not None and name == _backward_fault[0]:
-            g = g * _backward_fault[1]
-        fn(g)
+    for out, fn, _ in reversed(_tape.records):
+        if out.grad is not None:
+            fn(out.grad)
 
 
 def constant(data) -> Tensor:

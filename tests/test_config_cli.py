@@ -214,6 +214,25 @@ def test_finetune_resumes_from_checkpoint(tmp_path):
     assert (before["out_proj"].data != after["out_proj"].data).any()
 
 
+def test_finetune_resolves_the_checkpoint_model(tmp_path):
+    pre = tmp_path / "pre"
+    cfg = write_config(
+        tmp_path, TINY, steps=1, max_block_size=3, conv_kernel_size="none", enable_offsets="true"
+    )
+    assert main(["pretrain", "--config", cfg, "--out", str(pre)]) == 0
+    fine = tmp_path / "fine"
+    cfg2 = write_config(
+        tmp_path, "", name="fine.cfg", steps=1, checkpoint=str(pre / "checkpoint.gbst")
+    )
+    assert main(["finetune", "--config", cfg2, "--out", str(fine)]) == 0
+    from gbst.model import load_checkpoint
+
+    ckpt = load_checkpoint(str(pre / "checkpoint.gbst"))
+    resolved = load_config(str(fine / "config.resolved.txt"))
+    assert resolved.stack_config() == ckpt.stack
+    assert resolved.gbst_config() == ckpt.gbst
+
+
 def test_score_viz_output(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, TINY, steps=2)
@@ -274,6 +293,11 @@ def test_gradcheck_cli(capsys):
 def test_gradcheck_negative_control(capsys):
     assert main(["gradcheck", "--seed", "0", "--corrupt", "gelu"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_unknown_corrupt_op_exits_2(capsys):
+    assert main(["gradcheck", "--seed", "0", "--corrupt", "no_such_op"]) == 2
+    assert "no_such_op" in capsys.readouterr().err
 
 
 def test_profile_analytic_grid(tmp_path, capsys):

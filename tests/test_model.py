@@ -21,6 +21,7 @@ from gbst.model import (
     encode_stack,
     greedy_decode,
     load_checkpoint,
+    parameter_specs,
     run_frontend,
     save_checkpoint,
 )
@@ -175,6 +176,24 @@ def test_gbst_parameters_follow_their_declaration():
     assert [p.name for p in state.gbst_parameters()] == ["gbst." + n for n in specs]
     assert [p.data.shape for p in state.gbst_parameters()] == [shape for shape, _ in specs.values()]
     assert not state["gbst.conv_bias"].data.any()  # a std of 0 is a zero init
+
+
+@pytest.mark.parametrize("frontend", ["gbst", "identity"])
+def test_parameters_follow_their_declaration(frontend):
+    state = desk_state(seed=1, frontend=frontend)
+    specs = parameter_specs(state.stack, state.gbst)
+    assert [(p.name, p.data.shape) for p in state.parameters()] == [
+        (name, shape) for name, (shape, _, _) in specs.items()
+    ]
+    for p, (_, std, fill) in zip(state.parameters(), specs.values()):
+        if std == 0:
+            assert (p.data == fill).all(), p.name
+    gains = [p for p in state.parameters() if p.name.endswith(".gain")]
+    biases = [p for p in state.parameters() if p.name.endswith((".bias", ".b1", ".b2"))]
+    assert gains and all((p.data == 1.0).all() for p in gains)
+    assert biases and not any(p.data.any() for p in biases)
+    if frontend == "gbst":
+        assert not state["gbst.conv_bias"].data.any()
 
 
 def test_checkpoint_round_trip_bit_identical():
