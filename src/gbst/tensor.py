@@ -411,6 +411,10 @@ def softmax_last_axis(x: Tensor) -> Tensor:
     return _record("softmax_last_axis", y, (x,), _bw)
 
 
+# elements of float64 the attention softmax touches per pass: 2**16 * 8 B = 512 KB
+BLOCK = 1 << 16
+
+
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -435,6 +439,15 @@ def multi_head_attention(
     mask, softmax and concat ops, which the tests keep as the reference: this
     op is bit-identical to that chain, forward and backward, where a batched
     3-D matmul would round differently.
+
+    Memory is touched in cache-sized pieces; the arithmetic is the chain's.
+    The softmax and its backward walk the (heads, n, m) probabilities in row
+    blocks of about ``BLOCK`` elements, which stay in L2 across their passes
+    (scale, mask, max, exp, sum, divide), and the backward reuses one (n, m)
+    scratch for each head's score gradient in turn. The matmuls stay whole
+    per head: a product over a block of rows, e.g. 32 rows of P times V with
+    a 1024-long inner dimension, can round differently from the whole
+    product, so its bits would hang on the BLAS library's kernel choice.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError(f"attention expects 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
@@ -442,6 +455,8 @@ def multi_head_attention(
     m = k.shape[0]
     if heads < 1 or width % heads:
         raise ShapeError(f"width {width} does not split into {heads} heads")
+    if m < 1:
+        raise ShapeError("attention needs at least one key row")
     if k.shape != (m, width) or v.shape != (m, width):
         raise ShapeError(f"k and v must be ({m}, {width}), got {k.shape} and {v.shape}")
     if mask is not None and np.shape(mask) != (n, m):
@@ -456,12 +471,15 @@ def multi_head_attention(
     probs = np.empty((heads, n, m))
     for i in range(heads):
         np.matmul(qh[i], kt[i], out=probs[i])
-    probs *= scale
-    if mask is not None:
-        probs += mask
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    step = max(1, BLOCK // (heads * m))
+    for r in range(0, n, step):
+        p = probs[:, r : r + step]
+        p *= scale
+        if mask is not None:
+            p += mask[r : r + step]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
     oh = np.empty((heads, n, hd))
     for i in range(heads):
         np.matmul(probs[i], vh[i], out=oh[i])
@@ -471,19 +489,21 @@ def multi_head_attention(
 
     def _bw(g):
         go = g.reshape(n, heads, hd).transpose(1, 0, 2).copy()
-        gs = np.empty((heads, n, m))
+        gs = np.empty((n, m))  # one head's score gradient at a time
         gq = np.empty((n, heads, hd))
         gk = np.empty((m, heads, hd))
         gv = np.empty((m, heads, hd))
+        step = max(1, BLOCK // m)
         for i in range(heads):
-            np.matmul(go[i], vh[i].T, out=gs[i])
+            np.matmul(go[i], vh[i].T, out=gs)
             gv[:, i] = probs[i].T @ go[i]
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)
-        gs *= probs
-        gs *= scale
-        for i in range(heads):
-            gq[:, i] = gs[i] @ kt[i].T
-            gk[:, i] = (qh[i].T @ gs[i]).T
+            for r in range(0, n, step):
+                s, p = gs[r : r + step], probs[i, r : r + step]
+                s -= (s * p).sum(axis=-1, keepdims=True)
+                s *= p
+                s *= scale
+            gq[:, i] = gs @ kt[i].T
+            gk[:, i] = (qh[i].T @ gs).T
         # the chain's order (v, then q, then k's transpose): it keeps the bits
         # of a gradient when q, k and v are one tensor, as in calibration
         _accumulate(v, gv.reshape(m, width))

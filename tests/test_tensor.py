@@ -1,9 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbst import tensor as T
@@ -332,7 +334,7 @@ def concat_last_axis(parts):
     return T._record("concat_last_axis", out, tuple(parts), _bw)
 
 
-def unfused_attention(q, k, v, heads, mask=None):
+def unfused_attention(q, k, v, heads, mask=None, collect=None):
     """The per-head op chain that multi_head_attention replaces."""
     hd = q.shape[1] // heads
     scale = 1.0 / math.sqrt(hd)
@@ -344,7 +346,10 @@ def unfused_attention(q, k, v, heads, mask=None):
         scores = T.mul(T.matmul(qs, transpose_2d(ks)), scale)
         if mask is not None:
             scores = T.add(scores, T.constant(mask))
-        outs.append(T.matmul(T.softmax_last_axis(scores), vs))
+        probs = T.softmax_last_axis(scores)
+        if collect is not None:
+            collect.append(probs.data)
+        outs.append(T.matmul(probs, vs))
     return outs[0] if heads == 1 else concat_last_axis(outs)
 
 
@@ -361,6 +366,13 @@ def random_mask(rng, n, m):
     masked=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# fixed shapes whose softmax spans many row blocks of T.BLOCK elements
+@example(n=1024, m=1024, heads=4, masked=False, seed=1)  # the long_bytes encoder
+@example(n=232, m=1024, heads=4, masked=False, seed=2)  # ragged last block
+@example(n=300, m=300, heads=4, masked=True, seed=3)
+@example(n=1, m=70000, heads=1, masked=False, seed=4)  # one row wider than a block
+@example(n=5000, m=1, heads=1, masked=False, seed=5)
+@example(n=5000, m=40, heads=1, masked=True, seed=6)
 def test_attention_bit_identical_to_unfused_chain(n, m, heads, masked, seed):
     rng = np.random.default_rng(seed)
     width = heads * 16
@@ -371,11 +383,30 @@ def test_attention_bit_identical_to_unfused_chain(n, m, heads, masked, seed):
     for attend in (unfused_attention, T.multi_head_attention):
         reset_tape()
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-        out = attend(q, k, v, heads, mask)
+        probs = []
+        out = attend(q, k, v, heads, mask, probs)
         backward(T.sum_all(T.mul(out, w)))
-        results.append([out.data, q.grad, k.grad, v.grad])
-    for fused, chain in zip(results[1], results[0]):
-        assert fused.tobytes() == chain.tobytes()
+        outputs = (out.data, q.grad, k.grad, v.grad, *probs)
+        results.append([hashlib.sha256(a.tobytes()).hexdigest() for a in outputs])
+    assert results[1] == results[0]
+
+
+def test_attention_backward_peak_below_one_probability_buffer():
+    # the backward reuses one (n, m) scratch across heads and works in row
+    # blocks, so it never holds a (heads, n, m) buffer of its own
+    n = m = 512
+    heads = 4
+    rng = np.random.default_rng(17)
+    q, k, v = (Tensor(rng.normal(size=(r, heads * 16)), requires_grad=True) for r in (n, m, m))
+    w = Tensor(rng.normal(size=(n, heads * 16)))
+    loss = T.sum_all(T.mul(T.multi_head_attention(q, k, v, heads), w))
+    tracemalloc.start()
+    try:
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < heads * n * m * 8
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -420,6 +451,8 @@ def test_attention_shape_errors():
         T.multi_head_attention(x, Tensor(np.zeros((3, 4))), x, 2)
     with pytest.raises(ShapeError):
         T.multi_head_attention(x, x, x, 2, mask=np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(x, Tensor(np.zeros((0, 8))), Tensor(np.zeros((0, 8))), 2)
 
 
 # --- backward / tape --------------------------------------------------------
