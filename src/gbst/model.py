@@ -143,18 +143,45 @@ class ModelState:
 
 
 class KVCache:
-    """Keys and values that earlier ``decode_stack`` calls projected.
+    """Keys and values that earlier ``decode_stack`` calls projected, held in
+    the layouts ``tensor.cached_attention`` reads.
 
-    Per attention prefix it holds the self-attention K/V of every position
-    decoded so far, and the cross-attention K/V of the encoder memory, which
-    are projected on the first call only. ``length`` counts the decoded
-    positions. The cache serves inference: its arrays carry no gradient.
+    ``kv`` maps each attention prefix to its keys as a (heads, hd, capacity)
+    array and its values as a (heads, capacity, hd) array. Self-attention
+    writes the K/V of each call's new positions at rows ``length`` onward.
+    When they do not fit, both buffers are reallocated at twice their
+    capacity, or at the rows needed if that is more, and the filled rows are
+    copied once: a decoded position copies O(1) rows on average, and a buffer
+    never holds more than twice the positions decoded. Cross-attention splits
+    the encoder memory's K/V on the first call, at capacity = memory rows.
+    ``length`` counts the decoded positions. The cache serves inference: its
+    arrays carry no gradient.
     """
 
     def __init__(self):
         self.length = 0
         self.memory: Tensor | None = None
-        self.kv: dict[str, tuple[Tensor, Tensor]] = {}
+        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def write(
+        self, prefix: str, k: np.ndarray, v: np.ndarray, heads: int, start: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Store the (n, heads*hd) rows ``k`` and ``v`` at rows ``start``
+        onward of ``prefix``'s buffers, growing them if needed; returns views
+        of the keys and values of rows [0, start + n)."""
+        n, width = k.shape
+        hd = width // heads
+        stop = start + n
+        kt, vh = self.kv.get(prefix, (np.empty((heads, hd, 0)), np.empty((heads, 0, hd))))
+        if kt.shape[2] < stop:
+            capacity = max(stop, 2 * kt.shape[2])
+            grown_kt, grown_vh = np.empty((heads, hd, capacity)), np.empty((heads, capacity, hd))
+            grown_kt[:, :, :start] = kt[:, :, :start]
+            grown_vh[:, :start] = vh[:, :start]
+            kt, vh = self.kv[prefix] = grown_kt, grown_vh
+        kt[:, :, start:stop] = k.reshape(n, heads, hd).transpose(1, 2, 0)
+        vh[:, start:stop] = v.reshape(n, heads, hd).transpose(1, 0, 2)
+        return kt[:, :, :stop], vh[:, :stop]
 
 
 def _attention(
@@ -166,23 +193,22 @@ def _attention(
     collect: list | None = None,
     cache: KVCache | None = None,
 ) -> Tensor:
-    """Multi-head attention of ``x_q`` over ``x_kv``. With a cache,
-    self-attention (``x_kv is x_q``) appends the K/V of the new rows to the
-    cached ones, and cross-attention reuses the K/V of its first call."""
+    """Multi-head attention of ``x_q`` over ``x_kv``. With a cache it runs
+    ``cached_attention``: self-attention (``x_kv is x_q``) first writes the
+    K/V of the new rows into the cache, and cross-attention projects the
+    memory's K/V on its first call only."""
     q = T.matmul(x_q, state[f"{prefix}.wq"])
-    cached = cache.kv.get(prefix) if cache is not None else None
-    if cached is not None and x_kv is not x_q:
-        k, v = cached
+    wo = state[f"{prefix}.wo"]
+    if cache is not None and x_kv is not x_q and prefix in cache.kv:
+        kt, vh = cache.kv[prefix]
     else:
         k = T.matmul(x_kv, state[f"{prefix}.wk"])
         v = T.matmul(x_kv, state[f"{prefix}.wv"])
-        if cached is not None:
-            k = T.constant(np.concatenate([cached[0].data, k.data]))
-            v = T.constant(np.concatenate([cached[1].data, v.data]))
-        if cache is not None:
-            cache.kv[prefix] = (k, v)
-    merged = T.multi_head_attention(q, k, v, state.stack.heads, mask, collect)
-    return T.matmul(merged, state[f"{prefix}.wo"])
+        if cache is None:
+            return T.matmul(T.multi_head_attention(q, k, v, state.stack.heads, mask, collect), wo)
+        start = cache.length if x_kv is x_q else 0
+        kt, vh = cache.write(prefix, k.data, v.data, state.stack.heads, start)
+    return T.matmul(T.cached_attention(q, kt, vh, mask, collect), wo)
 
 
 def _ffn(x: Tensor, state: ModelState, prefix: str) -> Tensor:
@@ -313,8 +339,11 @@ def greedy_decode(
 
     Decoding is incremental: each step runs ``decode_stack`` on the one byte
     emitted last, against a ``KVCache`` of the earlier positions, so a step
-    costs one decoder position. Its logits equal those of a teacher-forced
-    pass over the emitted prefix up to float64 rounding.
+    costs one decoder position: its attention reads the cached keys and
+    values in place, and it copies only its own K/V rows into the cache
+    (plus, amortized, O(1) rows when a buffer doubles). Its logits equal
+    those of a teacher-forced pass over the emitted prefix up to float64
+    rounding.
 
     The terminal sentinel is structurally indistinguishable from a span
     delimiter, so when the caller knows the span count the decode stops at

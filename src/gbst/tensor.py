@@ -8,7 +8,9 @@ every tensor that requires them. A ``Parameter`` is a named tensor; freezing
 one is ``requires_grad = False``, after which it gets no gradient, and an op
 none of whose inputs requires a gradient records nothing. All storage is
 float64 and row-major; ops copy rather than alias, and every forward result
-is checked for NaN/Inf.
+is checked for NaN/Inf. The one exception to the copying is
+``cached_attention``, the no-tape op of incremental decoding, which reads
+views of a K/V cache's buffers.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -513,6 +515,49 @@ def multi_head_attention(
     return _record("multi_head_attention", out, (q, k, v), _bw)
 
 
+def cached_attention(
+    q: Tensor,
+    kt: np.ndarray,
+    vh: np.ndarray,
+    mask: np.ndarray | None = None,
+    collect: list | None = None,
+) -> Tensor:
+    """Attention of ``q`` over keys and values already split into heads, for
+    incremental decoding; it records nothing and refuses to run with
+    gradients on.
+
+    ``q`` is (n, heads*hd) with head i in columns [i*hd, (i+1)*hd), ``kt`` is
+    (heads, hd, m) and ``vh`` is (heads, m, hd): the layouts a ``KVCache``
+    holds, read here as views without a copy. ``mask`` and ``collect`` are as
+    in ``multi_head_attention``, and the scale is 1/sqrt(hd). Both products
+    run as one matmul batched over heads, so the result matches
+    ``multi_head_attention`` to rounding, not bit for bit.
+    """
+    if _grad_enabled:
+        raise TapeError("cached_attention records no gradient; call it under no_grad()")
+    if q.data.ndim != 2 or kt.ndim != 3 or vh.ndim != 3:
+        raise ShapeError(f"expected 2-D q and 3-D k, v, got {q.shape}, {kt.shape}, {vh.shape}")
+    n, width = q.shape
+    heads, hd, m = kt.shape
+    if heads * hd != width or m < 1:
+        raise ShapeError(f"keys {kt.shape} do not fit queries of width {width}")
+    if vh.shape != (heads, m, hd):
+        raise ShapeError(f"values must be ({heads}, {m}, {hd}), got {vh.shape}")
+    if mask is not None and np.shape(mask) != (n, m):
+        raise ShapeError(f"mask must have shape ({n}, {m}), got {np.shape(mask)}")
+    probs = np.matmul(q.data.reshape(n, heads, hd).transpose(1, 0, 2), kt)  # (h, n, m)
+    probs *= 1.0 / math.sqrt(hd)
+    if mask is not None:
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect.extend(probs)
+    out = np.matmul(probs, vh).transpose(1, 0, 2).reshape(n, width)
+    return _record("cached_attention", out, (q,), None)
+
+
 def embedding_gather(table: Tensor, ids) -> Tensor:
     """Select rows of ``table`` by integer id; backward scatter-adds."""
     idx = np.asarray(ids, dtype=np.int64)
@@ -536,9 +581,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce / d has the bits of ndarray.mean, without its Python wrapper
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data

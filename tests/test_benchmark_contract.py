@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` patches the functions listed in its ``_SPANS`` on
 their modules, and the training hooks of ``gbst.train`` plus the optimizer's
-``step``. A rename, or a call that bypasses the module attribute, would leave
-``--trace 1`` reporting nothing (or 0 ms) for that layer, GBST stage or hook.
+``step``; its ``model.decode_stack_calls_per_byte`` counts the calls that
+greedy decoding makes to ``gbst.model.decode_stack``. A rename, or a call
+that bypasses the module attribute, would leave ``--trace 1`` reporting
+nothing (or 0 ms) for that layer, GBST stage or hook.
 """
 
 import importlib.util
@@ -12,11 +14,12 @@ import os
 import numpy as np
 import pytest
 
+from gbst import model as M
 from gbst import train as TR
 from gbst.bytes_data import encode
 from gbst.model import ModelState, StackConfig, sequence_loss
 from gbst.subword import GbstConfig
-from gbst.tensor import reset_tape
+from gbst.tensor import no_grad, reset_tape
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -75,3 +78,20 @@ def test_training_hooks_are_called_through_gbst_train(monkeypatch):
     cfg = TR.TrainConfig(batch_size=1, steps=1, window_len=32, optimizer="adam")
     TR.train_loop(tiny_state(), [encode("the contract covers the training hooks too")], cfg)
     assert calls == {attr: 1 for _, attr in hooks}
+
+
+def test_greedy_decode_calls_decode_stack_through_the_module_once_per_byte(monkeypatch):
+    positions = []
+    original = M.decode_stack
+
+    def counted(state, memory, dec_input_ids, *args, **kwargs):
+        positions.append(len(dec_input_ids))
+        return original(state, memory, dec_input_ids, *args, **kwargs)
+
+    monkeypatch.setattr(M, "decode_stack", counted)
+    state = tiny_state()
+    with no_grad():
+        memory, _ = M.encode_input(state, list(range(65, 81)))
+    emitted = M.greedy_decode(state, memory, max_len=12).ids
+    assert len(emitted) == 12
+    assert positions == [1] * 12

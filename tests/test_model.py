@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -131,7 +132,9 @@ def test_cached_greedy_decode_matches_teacher_forced_pass():
     prefix = [BOS_ID] + emitted[:-1]
     with no_grad():
         full = decode_stack(state, memory, prefix).data
-        for chunk in (1, 7):  # one position per call, and several past a cache
+        # one position per call, and several past a cache; with 40 positions
+        # the appends cross several capacity doublings of the cache buffers
+        for chunk in (1, 3, 7, 16):
             cache, parts = KVCache(), []
             for start in range(0, len(prefix), chunk):
                 ids, attn = prefix[start : start + chunk], []
@@ -144,6 +147,24 @@ def test_cached_greedy_decode_matches_teacher_forced_pass():
             assert np.abs(incremental - full).max() <= 1e-10
             assert list(incremental.argmax(axis=1)) == emitted
     assert list(full.argmax(axis=1)) == emitted
+
+
+def test_cached_decode_step_does_not_copy_the_memory_keys():
+    # cross-attention reads the memory's K/V as the first call split them, so
+    # a later one-byte step allocates far less than one (memory rows, width) array
+    state = desk_state()
+    rows, width = 1024, DESK.heads * DESK.head_dim
+    memory = T.constant(np.random.default_rng(3).normal(size=(rows, DESK.d_model)))
+    cache = KVCache()
+    with no_grad():
+        decode_stack(state, memory, [BOS_ID], None, cache)
+        tracemalloc.start()
+        try:
+            decode_stack(state, memory, [65], None, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < rows * width * 8
 
 
 def test_greedy_decode_max_positions_limit_unchanged():

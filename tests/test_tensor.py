@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gbst import tensor as T
 from gbst.errors import ConfigError, NonFiniteError, ShapeError, TapeError
+from gbst.model import causal_mask
 from gbst.tensor import Parameter, Tensor, backward, no_grad, reset_tape
 
 
@@ -453,6 +454,51 @@ def test_attention_shape_errors():
         T.multi_head_attention(x, x, x, 2, mask=np.zeros((3, 4)))
     with pytest.raises(ShapeError):
         T.multi_head_attention(x, Tensor(np.zeros((0, 8))), Tensor(np.zeros((0, 8))), 2)
+
+
+def cache_layout(k, v, heads, spare):
+    """``k`` and ``v`` (m, heads*hd) split as a ``KVCache`` holds them: views
+    of (heads, hd, m + spare) and (heads, m + spare, hd) buffers whose
+    ``spare`` unused rows are NaN, which any read of them would surface."""
+    m, width = k.shape
+    hd = width // heads
+    kt = np.full((heads, hd, m + spare), np.nan)
+    vh = np.full((heads, m + spare, hd), np.nan)
+    kt[:, :, :m] = k.reshape(m, heads, hd).transpose(1, 2, 0)
+    vh[:, :m] = v.reshape(m, heads, hd).transpose(1, 0, 2)
+    return kt[:, :, :m], vh[:, :m]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(1, 300),
+    heads=st.sampled_from([1, 2, 4]),
+    masked=st.booleans(),
+    spare=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_attention_matches_multi_head_attention(n, m, heads, masked, spare, seed):
+    assume(m >= n or not masked)
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(rows, heads * 16)) for rows in (n, m, m))
+    mask = causal_mask(n, m - n) if masked else None
+    expected, got = [], []
+    with no_grad():
+        ref = T.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, expected)
+        out = T.cached_attention(Tensor(q), *cache_layout(k, v, heads, spare), mask, got)
+    assert np.abs(out.data - ref.data).max() <= 1e-10
+    assert len(got) == heads
+    assert max(np.abs(a - b).max() for a, b in zip(got, expected)) <= 1e-10
+
+
+def test_cached_attention_refuses_gradients_and_bad_shapes():
+    q = Tensor(np.zeros((2, 8)))
+    kt, vh = np.zeros((2, 4, 3)), np.zeros((2, 3, 4))
+    with pytest.raises(TapeError):
+        T.cached_attention(q, kt, vh)
+    with no_grad(), pytest.raises(ShapeError):
+        T.cached_attention(q, kt, np.zeros((2, 4, 4)))
 
 
 # --- backward / tape --------------------------------------------------------
