@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the configs' integer check."""
+
+import dataclasses
 
 
 class ShapeError(ValueError):
@@ -15,3 +17,14 @@ class NonFiniteError(ArithmeticError):
 
 class TapeError(RuntimeError):
     """The gradient tape was misused (empty, already consumed, or disconnected)."""
+
+
+def check_int_fields(config) -> None:
+    """Raise ``ConfigError`` unless every field of the dataclass ``config``
+    annotated ``int`` holds an int, not a bool; a field annotated
+    ``int | None`` may also hold None."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            if type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")

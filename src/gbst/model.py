@@ -10,15 +10,16 @@ embedding ("identity", the undownsampled baseline).
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .bytes_data import VOCAB_SIZE, ByteSequence, SpanCorruptionExample, is_sentinel, sentinel_id
-from .errors import ConfigError, ShapeError, TapeError
-from .subword import GbstConfig, GbstOutput, GbstParams, draw_parameter, gbst_forward
-from .subword import gbst_parameter_specs
+from .errors import ConfigError, ShapeError, TapeError, check_int_fields
+from .subword import GbstConfig, GbstOutput, GbstParams, draw_parameter, gbst_forward, gbst_parameter_specs
 from .tensor import Parameter, Tensor, no_grad
 
 BOS_ID = sentinel_id(0)  # 255 doubles as the decoder start token
@@ -40,6 +41,7 @@ class StackConfig:
     max_positions: int = 512
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.frontend not in ("gbst", "identity"):
             raise ConfigError(f"frontend must be 'gbst' or 'identity', got {self.frontend!r}")
         for name in ("d_model", "heads", "head_dim", "ffn_dim", "max_positions"):
@@ -299,7 +301,7 @@ def decode_stack(
     n = len(dec_input_ids)
     x = T.embedding_gather(state["embedding"], dec_input_ids)
     x = T.add(x, _positions(state, "pos_dec", t, t + n))
-    mask = causal_mask(n, t)
+    mask = causal_mask(n, t) if n > 1 else None  # one row sees every key
     for i in range(state.stack.decoder_layers):
         normed = _ln(x, state, f"dec{i}.ln1")
         x = T.add(x, _attention(normed, normed, state, f"dec{i}.self", mask, collect_attn, cache))
@@ -394,16 +396,21 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelState:
+    """Read a checkpoint; before any allocation, its header must list exactly
+    ``parameter_specs`` of its configs, in order, and the file their bytes."""
     try:
         fh = open(path, "rb")
     except OSError as err:
         raise ConfigError(f"cannot read checkpoint {path}: {err}")
     with fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
         try:
-            header = json.loads(fh.read(int(fh.readline())).decode("utf-8"))
+            size = int(fh.readline())
+            left = os.fstat(fh.fileno()).st_size - fh.tell() - size  # the parameters' bytes
+            if size < 0 or left < 0:
+                raise ValueError(f"header length {size} exceeds the file")
+            header = json.loads(fh.read(size).decode("utf-8"))
             version = header.get("version")
         except (AttributeError, ValueError) as err:  # ValueError covers JSON and UTF-8 too
             raise ConfigError(f"{path} has a malformed header: {err}")
@@ -420,25 +427,18 @@ def load_checkpoint(path: str) -> ModelState:
                     raise ValueError(f"unsupported GBST pooling {pooling!r}")
                 gbst = GbstConfig(**gbst_fields)
             step = int(header["step"])
-            metas = [(m["name"], tuple(int(s) for s in m["shape"])) for m in header["params"]]
+            metas = [(m["name"], m["shape"]) for m in header["params"]]
+            if stack.encoder_layers + stack.decoder_layers > len(metas):  # a layer has parameters
+                raise ValueError("more layers than listed parameters")
+            specs = parameter_specs(stack, gbst)
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} has a malformed header: {type(err).__name__}: {err}")
+        if metas != [(name, list(shape)) for name, (shape, _, _) in specs.items()]:
+            raise ConfigError(f"{path} lists other parameters than its model has")
+        if 8 * sum(math.prod(shape) for shape, _, _ in specs.values()) != left:
+            raise ConfigError(f"{path} does not hold the parameter bytes its header lists")
         state = ModelState(stack, gbst, seed=0)
         state.step = step
-        missing = set(state.params)
-        for name, shape in metas:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ConfigError(f"{path} truncated while reading {name}")
-            if name not in state.params:
-                raise ConfigError(f"{path} has unknown parameter {name}")
-            if state.params[name].data.shape != shape:
-                raise ConfigError(f"{path}: shape mismatch for {name}")
-            state.params[name].data = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-            missing.discard(name)
-        if missing:
-            raise ConfigError(f"{path} has no values for {', '.join(sorted(missing))}")
-        if fh.read(1):
-            raise ConfigError(f"{path} has trailing bytes after the last parameter")
+        for p in state.parameters():
+            p.data = np.frombuffer(fh.read(8 * p.data.size), "<f8").astype(np.float64).reshape(p.shape)
     return state

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int_fields
 from .tensor import Parameter, Tensor
 
 
@@ -42,6 +42,7 @@ class GbstConfig:
     enable_calibration: bool = False
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
         if self.max_block_size < 1:
@@ -202,12 +203,6 @@ def form_latent(candidates: BlockCandidates, weights: Tensor) -> Tensor:
 
 def downsample(latent: Tensor, rate: int) -> Tensor:
     """Fixed mean-pool by ``rate``; trailing remainder rows are dropped."""
-    if rate < 1:
-        raise ConfigError(f"downsample rate must be >= 1, got {rate}")
-    if latent.shape[0] < rate:
-        raise ShapeError(
-            f"sequence length {latent.shape[0]} < downsample rate {rate}: empty output"
-        )
     return T.mean_pool_1d(latent, rate)
 
 

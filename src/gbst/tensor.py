@@ -417,6 +417,38 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 BLOCK = 1 << 16
 
 
+def _attend(qh, kt, vh, scale, mask, collect):
+    """The forward of both attention ops, over operands split into heads:
+    (h, n, hd) queries, (h, hd, m) keys and (h, m, hd) values. Returns the
+    (h, n, m) probabilities and the (n, h*hd) head outputs side by side.
+
+    Each product is one ``np.matmul`` batched over heads, which numpy runs as
+    one BLAS call per head, with the bits of a 2-D matmul per head. The
+    softmax runs in place in row blocks of about ``BLOCK`` elements, which
+    stay in L2 across its passes. The matmuls stay whole: a product over a
+    block of rows could round differently, by the BLAS kernel chosen.
+    """
+    heads, n, hd = qh.shape
+    m = kt.shape[2]
+    if m < 1:
+        raise ShapeError("attention needs at least one key row")
+    if mask is not None and np.shape(mask) != (n, m):
+        raise ShapeError(f"mask must have shape ({n}, {m}), got {np.shape(mask)}")
+    probs = np.matmul(qh, kt)
+    step = max(1, BLOCK // (heads * m))
+    for r in range(0, n, step):
+        p = probs[:, r : r + step]
+        p *= scale
+        if mask is not None:
+            p += mask[r : r + step]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect.extend(probs)
+    return probs, np.matmul(probs, vh).transpose(1, 0, 2).reshape(n, heads * hd)
+
+
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -436,20 +468,12 @@ def multi_head_attention(
     score calibration, softmax(P P^T) P, is the one-head, unit-scale case
     with q = k = v = P.
 
-    The products run per head as 2-D matmuls on contiguous copies, in the
-    operand layouts of the per-head chain of slice, transpose, matmul, scale,
-    mask, softmax and concat ops, which the tests keep as the reference: this
-    op is bit-identical to that chain, forward and backward, where a batched
-    3-D matmul would round differently.
-
-    Memory is touched in cache-sized pieces; the arithmetic is the chain's.
-    The softmax and its backward walk the (heads, n, m) probabilities in row
-    blocks of about ``BLOCK`` elements, which stay in L2 across their passes
-    (scale, mask, max, exp, sum, divide), and the backward reuses one (n, m)
-    scratch for each head's score gradient in turn. The matmuls stay whole
-    per head: a product over a block of rows, e.g. 32 rows of P times V with
-    a 1024-long inner dimension, can round differently from the whole
-    product, so its bits would hang on the BLAS library's kernel choice.
+    The forward is ``_attend`` on contiguous head-split copies of q, k and
+    v: the operands of the per-head chain of slice, transpose, matmul, scale,
+    mask, softmax and concat ops, which the tests keep as the reference. So
+    this op is bit-identical to that chain, forward and backward. The
+    backward runs head by head and reuses one (n, m) scratch, walked in row
+    blocks, for each head's score gradient in turn.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError(f"attention expects 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
@@ -457,37 +481,15 @@ def multi_head_attention(
     m = k.shape[0]
     if heads < 1 or width % heads:
         raise ShapeError(f"width {width} does not split into {heads} heads")
-    if m < 1:
-        raise ShapeError("attention needs at least one key row")
     if k.shape != (m, width) or v.shape != (m, width):
         raise ShapeError(f"k and v must be ({m}, {width}), got {k.shape} and {v.shape}")
-    if mask is not None and np.shape(mask) != (n, m):
-        raise ShapeError(f"mask must have shape ({n}, {m}), got {np.shape(mask)}")
     hd = width // heads
     if scale is None:
         scale = 1.0 / math.sqrt(hd)
     qh = q.data.reshape(n, heads, hd).transpose(1, 0, 2).copy()  # (h, n, hd)
     kt = k.data.reshape(m, heads, hd).transpose(1, 2, 0).copy()  # (h, hd, m)
     vh = v.data.reshape(m, heads, hd).transpose(1, 0, 2).copy()  # (h, m, hd)
-    # softmax in place in one buffer, which becomes the probabilities
-    probs = np.empty((heads, n, m))
-    for i in range(heads):
-        np.matmul(qh[i], kt[i], out=probs[i])
-    step = max(1, BLOCK // (heads * m))
-    for r in range(0, n, step):
-        p = probs[:, r : r + step]
-        p *= scale
-        if mask is not None:
-            p += mask[r : r + step]
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-    oh = np.empty((heads, n, hd))
-    for i in range(heads):
-        np.matmul(probs[i], vh[i], out=oh[i])
-    if collect is not None:
-        collect.extend(probs)
-    out = oh.transpose(1, 0, 2).reshape(n, width)
+    probs, out = _attend(qh, kt, vh, scale, mask, collect)
 
     def _bw(g):
         go = g.reshape(n, heads, hd).transpose(1, 0, 2).copy()
@@ -528,10 +530,11 @@ def cached_attention(
 
     ``q`` is (n, heads*hd) with head i in columns [i*hd, (i+1)*hd), ``kt`` is
     (heads, hd, m) and ``vh`` is (heads, m, hd): the layouts a ``KVCache``
-    holds, read here as views without a copy. ``mask`` and ``collect`` are as
-    in ``multi_head_attention``, and the scale is 1/sqrt(hd). Both products
-    run as one matmul batched over heads, so the result matches
-    ``multi_head_attention`` to rounding, not bit for bit.
+    holds. ``mask`` and ``collect`` are as in ``multi_head_attention``, and
+    the scale is 1/sqrt(hd). It runs ``_attend`` on views of q and of the
+    cache's buffers, so it matches ``multi_head_attention`` to 1e-10, not
+    bit for bit: BLAS may round a product over a strided view of a buffer
+    differently from one over a contiguous copy.
     """
     if _grad_enabled:
         raise TapeError("cached_attention records no gradient; call it under no_grad()")
@@ -539,22 +542,10 @@ def cached_attention(
         raise ShapeError(f"expected 2-D q and 3-D k, v, got {q.shape}, {kt.shape}, {vh.shape}")
     n, width = q.shape
     heads, hd, m = kt.shape
-    if heads * hd != width or m < 1:
-        raise ShapeError(f"keys {kt.shape} do not fit queries of width {width}")
-    if vh.shape != (heads, m, hd):
-        raise ShapeError(f"values must be ({heads}, {m}, {hd}), got {vh.shape}")
-    if mask is not None and np.shape(mask) != (n, m):
-        raise ShapeError(f"mask must have shape ({n}, {m}), got {np.shape(mask)}")
-    probs = np.matmul(q.data.reshape(n, heads, hd).transpose(1, 0, 2), kt)  # (h, n, m)
-    probs *= 1.0 / math.sqrt(hd)
-    if mask is not None:
-        probs += mask
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    if collect is not None:
-        collect.extend(probs)
-    out = np.matmul(probs, vh).transpose(1, 0, 2).reshape(n, width)
+    if heads * hd != width or vh.shape != (heads, m, hd):
+        raise ShapeError(f"keys {kt.shape} and values {vh.shape} do not fit queries of width {width}")
+    qh = q.data.reshape(n, heads, hd).transpose(1, 0, 2)
+    _, out = _attend(qh, kt, vh, 1.0 / math.sqrt(hd), mask, collect)
     return _record("cached_attention", out, (q,), None)
 
 

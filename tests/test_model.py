@@ -1,10 +1,14 @@
 import json
+import tempfile
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbst import tensor as T
 from gbst.bytes_data import ByteSequence, corrupt_spans, encode
@@ -283,9 +287,27 @@ def test_checkpoint_rejects_malformed_files(tmp_path, header_update, drop, tail)
         load_checkpoint(str(bad))
 
 
+def split_checkpoint(path):
+    """(JSON header, parameter bytes) of a checkpoint file."""
+    size_line, rest = path.read_bytes()[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
+    return json.loads(rest[: int(size_line)]), rest[int(size_line) :]
+
+
 def framed(header):
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     return f"{len(text)}\n".encode("ascii") + text
+
+
+def with_field(section, key, value):
+    """The defect of one config field set to ``value``."""
+    return lambda header, blobs: framed({**header, section: {**header[section], key: value}}) + blobs
+
+
+def with_shape(name, shape):
+    """The defect of one parameter's listed shape set to ``shape``."""
+    return lambda header, blobs: framed(
+        {**header, "params": [{**m, "shape": shape} if m["name"] == name else m for m in header["params"]]}
+    ) + blobs
 
 
 # header defects: (header, parameter blobs) -> the file after the magic line
@@ -298,6 +320,23 @@ HEADER_DEFECTS = {
     "missing_params_key": lambda header, blobs: framed(
         {k: v for k, v in header.items() if k != "params"}
     ) + blobs,
+    # a header-length line larger than the file
+    "huge_header_length": lambda header, blobs: f"{10**12}\n".encode("ascii")
+    + framed(header).split(b"\n", 1)[1] + blobs,
+    # parameter lists other than the model's, with the file's bytes unchanged
+    "negative_dimension": with_shape("embedding", [-1, 64]),
+    "fractional_dimension": with_shape("embedding", [256.5, 64]),
+    "permuted_parameters": lambda header, blobs: framed(
+        {**header, "params": [header["params"][i] for i in (0, 2, 1, *range(3, len(header["params"])))]}
+    ) + blobs,
+    # numpy refuses a table of 2**40 positions at once, so a check that comes
+    # too late fails with MemoryError rather than filling the memory
+    "huge_max_positions": with_field("stack", "max_positions", 2**40),
+    # sizes that are not ints
+    "fractional_heads": with_field("stack", "heads", 2.5),
+    "float_conv_kernel_size": with_field("gbst", "conv_kernel_size", 5.0),
+    "fractional_max_block_size": with_field("gbst", "max_block_size", 2.5),
+    "float_downsample_rate": with_field("gbst", "downsample_rate", 2.0),
 }
 
 
@@ -305,14 +344,41 @@ HEADER_DEFECTS = {
 def test_checkpoint_header_defects_are_config_errors(tmp_path, capsys, defect):
     good, bad = tmp_path / "good.gbst", tmp_path / "bad.gbst"
     save_checkpoint(desk_state(seed=1), str(good))
-    size_line, rest = good.read_bytes()[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
-    header = json.loads(rest[: int(size_line)])
-    bad.write_bytes(CHECKPOINT_MAGIC + defect(header, rest[int(size_line) :]))
+    bad.write_bytes(CHECKPOINT_MAGIC + defect(*split_checkpoint(good)))
     with pytest.raises(ConfigError, match="bad.gbst"):
         load_checkpoint(str(bad))
     argv = ["score-viz", "--checkpoint", str(bad), "--text", "hi", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "bad.gbst" in capsys.readouterr().err
+
+
+# every numeric field of a desk checkpoint's header
+NUMERIC_FIELDS = (
+    [("version",), ("step",), ("params", 0, "shape", 0)]
+    + [("stack", k) for k, v in asdict(DESK).items() if type(v) is int]
+    + [("gbst", k) for k, v in asdict(DESK_GBST).items() if type(v) is int]
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from(NUMERIC_FIELDS),
+    value=st.sampled_from([-1, 0, 2.5, 2**40, True, "x", None]),
+)
+def test_numeric_header_edits_load_or_raise_config_error(field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.gbst"
+        save_checkpoint(ModelState(DESK, DESK_GBST, seed=1), str(path))
+        header, blobs = split_checkpoint(path)
+        node = header
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path.write_bytes(CHECKPOINT_MAGIC + framed(header) + blobs)
+        try:
+            load_checkpoint(str(path))
+        except ConfigError as err:
+            assert "edited.gbst" in str(err)
 
 
 @pytest.mark.parametrize("pooling, code", [("mean", 0), ("max", 2)])

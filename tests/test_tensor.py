@@ -374,6 +374,7 @@ def random_mask(rng, n, m):
 @example(n=1, m=70000, heads=1, masked=False, seed=4)  # one row wider than a block
 @example(n=5000, m=1, heads=1, masked=False, seed=5)
 @example(n=5000, m=40, heads=1, masked=True, seed=6)
+@example(n=1, m=299, heads=4, masked=True, seed=7)  # one decoded byte
 def test_attention_bit_identical_to_unfused_chain(n, m, heads, masked, seed):
     rng = np.random.default_rng(seed)
     width = heads * 16
