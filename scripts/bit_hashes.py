@@ -1,0 +1,107 @@
+"""Print the bits that a refactor must keep: training and cached decoding.
+
+Run from anywhere: ``python3 scripts/bit_hashes.py``. The script imports the
+``gbst`` package of the checkout it sits in and pins BLAS to one thread.
+Diff its output against the same script run in a copy of another commit (a
+``git archive`` of the parent, say) to show that a change keeps the bits.
+
+Lines printed:
+
+- ``train <config> sha256=<...> records=<...>``: the SHA-256 over every
+  parameter's name and float64 bytes after ``train_loop``, and the tape
+  records of each step (one number when all steps record the same count);
+- ``decode seed=<s> sha256=<...> max_dev=<...>``: the SHA-256 of the logits
+  of 100 one-byte cached greedy ``decode_stack`` steps, and their largest
+  absolute deviation from one teacher-forced pass over the same prefix.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from gbst import tensor as T  # noqa: E402
+from gbst.bytes_data import ByteSequence, load_corpus  # noqa: E402
+from gbst.cli import bundled_corpus_path  # noqa: E402
+from gbst.model import BOS_ID, KVCache, ModelState, StackConfig, decode_stack, encode_input  # noqa: E402
+from gbst.subword import GbstConfig  # noqa: E402
+from gbst.train import TrainConfig, train_loop  # noqa: E402
+
+DESK_GBST = GbstConfig(embedding_dim=64)
+# name -> (stack, gbst, batch size, window length, steps)
+TRAINING = {
+    "desk": (StackConfig(), DESK_GBST, 8, 128, 20),
+    "long_gbst": (
+        StackConfig(),
+        GbstConfig(embedding_dim=64, downsample_rate=4, enable_offsets=True, enable_calibration=True),
+        1, 1024, 6,
+    ),
+    "long_bytes": (StackConfig(frontend="identity", max_positions=1024), None, 1, 1024, 6),
+}
+DECODE_STEPS = 100
+DECODE_SEEDS = (0, 1, 2)
+DECODE_WINDOW = 256
+
+
+def joined_corpus() -> list[ByteSequence]:
+    """The bundled corpus as one stream, documents separated by a newline."""
+    ids: list[int] = []
+    for doc in load_corpus(bundled_corpus_path()):
+        ids.extend(([10] if ids else []) + doc.ids)
+    return [ByteSequence(ids)]
+
+
+def parameter_hash(state: ModelState) -> str:
+    h = hashlib.sha256()
+    for name, p in state.params.items():
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()
+
+
+def train_line(name: str, docs: list[ByteSequence]) -> str:
+    stack, gbst, batch, window, steps = TRAINING[name]
+    state = ModelState(stack, gbst, seed=0)
+    cfg = TrainConfig(batch_size=batch, window_len=window, steps=steps, seed=0)
+    records: list[int] = []
+    train_loop(state, docs, cfg, log_fn=lambda _: records.append(len(T.active_tape())))
+    counts = sorted(set(records))
+    shown = str(counts[0]) if len(counts) == 1 else ",".join(map(str, records))
+    return f"train {name} sha256={parameter_hash(state)} records={shown}"
+
+
+def decode_line(seed: int, docs: list[ByteSequence]) -> str:
+    state = ModelState(StackConfig(), DESK_GBST, seed=0)
+    ids = docs[0].ids
+    start = int(np.random.default_rng(seed).integers(len(ids) - DECODE_WINDOW))
+    with T.no_grad():
+        memory, _ = encode_input(state, ids[start : start + DECODE_WINDOW])
+        cache, steps, nxt = KVCache(), [], BOS_ID
+        for _ in range(DECODE_STEPS):
+            steps.append(decode_stack(state, memory, [nxt], cache=cache).data)
+            nxt = int(np.argmax(steps[-1][-1]))
+        cached = np.concatenate(steps)
+        prefix = [BOS_ID] + [int(np.argmax(row)) for row in cached[:-1]]
+        full = decode_stack(state, memory, prefix).data
+    digest = hashlib.sha256(cached.tobytes()).hexdigest()
+    return f"decode seed={seed} sha256={digest} max_dev={np.abs(cached - full).max():.3e}"
+
+
+def main() -> None:
+    docs = joined_corpus()
+    for name in TRAINING:
+        print(train_line(name, docs), flush=True)
+    for seed in DECODE_SEEDS:
+        print(decode_line(seed, docs), flush=True)
+
+
+if __name__ == "__main__":
+    main()

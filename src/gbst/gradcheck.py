@@ -75,8 +75,6 @@ def _central_difference(state, example, param: Parameter, direction: np.ndarray)
 
 
 def _relative_error(a: float, b: float) -> float:
-    if abs(a - b) < 1e-9:
-        return 0.0
     return abs(a - b) / max(abs(a), abs(b), 1e-6)
 
 

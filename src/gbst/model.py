@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .bytes_data import VOCAB_SIZE, ByteSequence, SpanCorruptionExample, is_sentinel, sentinel_id
 from .errors import ConfigError, ShapeError, TapeError, check_int_fields
-from .subword import GbstConfig, GbstOutput, GbstParams, draw_parameter, gbst_forward, gbst_parameter_specs
+from .subword import GbstConfig, GbstOutput, draw_parameter, gbst_forward, gbst_parameter_specs
 from .tensor import Parameter, Tensor, no_grad
 
 BOS_ID = sentinel_id(0)  # 255 doubles as the decoder start token
@@ -58,7 +58,7 @@ def parameter_specs(
     the only place a parameter's shape and initial value are declared. A
     nonzero std draws N(0, std), 2-D weights with std = fan_in ** -0.5; a
     zero std fills with ``fill``. The GBST entries are
-    ``subword.gbst_parameter_specs`` under a ``gbst.`` prefix."""
+    ``subword.gbst_parameter_specs``."""
     d, h, hd, f = stack.d_model, stack.heads, stack.head_dim, stack.ffn_dim
     specs: dict[str, tuple[tuple[int, ...], float, float]] = {}
     specs["embedding"] = ((VOCAB_SIZE, d), 1.0, 0.0)
@@ -72,7 +72,7 @@ def parameter_specs(
                 f"gbst embedding_dim {gbst.embedding_dim} must equal d_model {d}"
             )
         for n, (shape, std) in gbst_parameter_specs(gbst).items():
-            specs["gbst." + n] = (shape, std, 0.0)
+            specs[n] = (shape, std, 0.0)
 
     def attn(prefix: str):
         for w in ("wq", "wk", "wv"):
@@ -134,30 +134,24 @@ class ModelState:
     def transformer_parameters(self) -> list[Parameter]:
         return [p for n, p in self.params.items() if not n.startswith("gbst.")]
 
-    def gbst_param_view(self) -> GbstParams:
-        if self.stack.frontend != "gbst":
-            raise ConfigError("model has no gbst frontend")
-        return GbstParams(**{p.name[len("gbst."):]: p for p in self.gbst_parameters()})
-
     def zero_grads(self) -> None:
         for p in self.parameters():
             p.grad = None
 
 
 class KVCache:
-    """Keys and values that earlier ``decode_stack`` calls projected, held in
-    the layouts ``tensor.cached_attention`` reads.
+    """Keys and values that earlier ``decode_stack`` calls projected, as the
+    (rows, heads*hd) arrays the K/V projections return.
 
-    ``kv`` maps each attention prefix to its keys as a (heads, hd, capacity)
-    array and its values as a (heads, capacity, hd) array. Self-attention
-    writes the K/V of each call's new positions at rows ``length`` onward.
-    When they do not fit, both buffers are reallocated at twice their
-    capacity, or at the rows needed if that is more, and the filled rows are
-    copied once: a decoded position copies O(1) rows on average, and a buffer
-    never holds more than twice the positions decoded. Cross-attention splits
-    the encoder memory's K/V on the first call, at capacity = memory rows.
-    ``length`` counts the decoded positions. The cache serves inference: its
-    arrays carry no gradient.
+    ``kv`` maps each attention prefix to its keys and values. Self-attention
+    holds them in two (capacity, heads*hd) row buffers and writes the K/V of
+    each call's new positions at rows ``length`` onward. When they do not
+    fit, both buffers are reallocated at twice their capacity, or at the rows
+    needed if that is more, and the filled rows are copied once: a decoded
+    position copies O(1) rows on average, and a buffer never holds more than
+    twice the positions decoded. Cross-attention keeps the memory's K/V as
+    the first call projected them. ``length`` counts the decoded positions.
+    The cache serves inference: its arrays carry no gradient.
     """
 
     def __init__(self):
@@ -165,25 +159,20 @@ class KVCache:
         self.memory: Tensor | None = None
         self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def write(
-        self, prefix: str, k: np.ndarray, v: np.ndarray, heads: int, start: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Store the (n, heads*hd) rows ``k`` and ``v`` at rows ``start``
-        onward of ``prefix``'s buffers, growing them if needed; returns views
-        of the keys and values of rows [0, start + n)."""
-        n, width = k.shape
-        hd = width // heads
+    def write(self, prefix: str, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store the rows ``k`` and ``v`` at rows ``length`` onward of
+        ``prefix``'s buffers, growing them if needed; returns views of the
+        keys and values of every position so far."""
+        start, (n, width) = self.length, k.shape
         stop = start + n
-        kt, vh = self.kv.get(prefix, (np.empty((heads, hd, 0)), np.empty((heads, 0, hd))))
-        if kt.shape[2] < stop:
-            capacity = max(stop, 2 * kt.shape[2])
-            grown_kt, grown_vh = np.empty((heads, hd, capacity)), np.empty((heads, capacity, hd))
-            grown_kt[:, :, :start] = kt[:, :, :start]
-            grown_vh[:, :start] = vh[:, :start]
-            kt, vh = self.kv[prefix] = grown_kt, grown_vh
-        kt[:, :, start:stop] = k.reshape(n, heads, hd).transpose(1, 2, 0)
-        vh[:, start:stop] = v.reshape(n, heads, hd).transpose(1, 0, 2)
-        return kt[:, :, :stop], vh[:, :stop]
+        keys, values = self.kv.get(prefix, (k[:0], v[:0]))
+        if len(keys) < stop:
+            capacity = max(stop, 2 * len(keys))
+            grown = np.empty((capacity, width)), np.empty((capacity, width))
+            grown[0][:start], grown[1][:start] = keys[:start], values[:start]
+            keys, values = self.kv[prefix] = grown
+        keys[start:stop], values[start:stop] = k, v
+        return keys[:stop], values[:stop]
 
 
 def _attention(
@@ -192,25 +181,26 @@ def _attention(
     state: ModelState,
     prefix: str,
     mask: np.ndarray | None = None,
-    collect: list | None = None,
     cache: KVCache | None = None,
 ) -> Tensor:
     """Multi-head attention of ``x_q`` over ``x_kv``. With a cache it runs
     ``cached_attention``: self-attention (``x_kv is x_q``) first writes the
     K/V of the new rows into the cache, and cross-attention projects the
-    memory's K/V on its first call only."""
+    memory's K/V on its first call only and keeps them in the cache."""
     q = T.matmul(x_q, state[f"{prefix}.wq"])
-    wo = state[f"{prefix}.wo"]
+    wo, heads = state[f"{prefix}.wo"], state.stack.heads
     if cache is not None and x_kv is not x_q and prefix in cache.kv:
-        kt, vh = cache.kv[prefix]
+        k, v = cache.kv[prefix]
     else:
         k = T.matmul(x_kv, state[f"{prefix}.wk"])
         v = T.matmul(x_kv, state[f"{prefix}.wv"])
         if cache is None:
-            return T.matmul(T.multi_head_attention(q, k, v, state.stack.heads, mask, collect), wo)
-        start = cache.length if x_kv is x_q else 0
-        kt, vh = cache.write(prefix, k.data, v.data, state.stack.heads, start)
-    return T.matmul(T.cached_attention(q, kt, vh, mask, collect), wo)
+            return T.matmul(T.multi_head_attention(q, k, v, heads, mask), wo)
+        if x_kv is x_q:
+            k, v = cache.write(prefix, k.data, v.data)
+        else:
+            k, v = cache.kv[prefix] = k.data, v.data
+    return T.matmul(T.cached_attention(q, k, v, heads, mask), wo)
 
 
 def _ffn(x: Tensor, state: ModelState, prefix: str) -> Tensor:
@@ -236,7 +226,7 @@ def causal_mask(n: int, cached: int) -> np.ndarray:
     return np.triu(np.full((n, cached + n), ATTN_MASK_VALUE), k=cached + 1)
 
 
-def encode_stack(state: ModelState, x: Tensor, collect_attn: list | None = None) -> Tensor:
+def encode_stack(state: ModelState, x: Tensor) -> Tensor:
     """Self-attention + FFN stack over an already-embedded sequence.
     A zero-layer stack reduces to input plus positional embedding."""
     n = x.shape[0]
@@ -245,7 +235,7 @@ def encode_stack(state: ModelState, x: Tensor, collect_attn: list | None = None)
     x = T.add(x, _positions(state, "pos_enc", 0, n))
     for i in range(state.stack.encoder_layers):
         normed = _ln(x, state, f"enc{i}.ln1")
-        x = T.add(x, _attention(normed, normed, state, f"enc{i}.attn", collect=collect_attn))
+        x = T.add(x, _attention(normed, normed, state, f"enc{i}.attn"))
         x = T.add(x, _ffn(_ln(x, state, f"enc{i}.ln2"), state, f"enc{i}.ffn"))
     return x
 
@@ -257,7 +247,7 @@ def run_frontend(state: ModelState, ids: list[int]) -> tuple[Tensor, GbstOutput 
     x = T.embedding_gather(state["embedding"], ids)
     if state.stack.frontend == "identity":
         return x, None
-    out = gbst_forward(x, state.gbst, state.gbst_param_view())
+    out = gbst_forward(x, state.gbst, state.params)
     return out.downsampled, out
 
 
@@ -268,11 +258,7 @@ def encode_input(state: ModelState, ids: list[int]) -> tuple[Tensor, GbstOutput 
 
 
 def decode_stack(
-    state: ModelState,
-    memory: Tensor,
-    dec_input_ids: list[int],
-    collect_attn: list | None = None,
-    cache: KVCache | None = None,
+    state: ModelState, memory: Tensor, dec_input_ids: list[int], cache: KVCache | None = None
 ) -> Tensor:
     """Decoder: causal self-attention, cross-attention to the encoder memory,
     FFN; returns logits over all 256 byte ids for each position of
@@ -280,10 +266,10 @@ def decode_stack(
 
     Without a cache this is the teacher-forced pass over a whole prefix.
     With a ``KVCache`` it is incremental: ``dec_input_ids`` are the next
-    positions after the ``cache.length`` already decoded, they attend to the
-    cached self-attention K/V and to the memory K/V projected on the first
-    call, and the cache grows by them. A cache needs ``no_grad`` and the same
-    ``memory`` on every call.
+    positions after the ``cache.length`` already decoded. Their K/V rows
+    join the cached self-attention rows, they attend to those and to the
+    memory's K/V, projected on the first call, and ``cache.length`` grows by
+    them. A cache needs ``no_grad`` and the same ``memory`` on every call.
     """
     if not dec_input_ids:
         raise ShapeError("decoder prefix must be non-empty")
@@ -304,9 +290,9 @@ def decode_stack(
     mask = causal_mask(n, t) if n > 1 else None  # one row sees every key
     for i in range(state.stack.decoder_layers):
         normed = _ln(x, state, f"dec{i}.ln1")
-        x = T.add(x, _attention(normed, normed, state, f"dec{i}.self", mask, collect_attn, cache))
+        x = T.add(x, _attention(normed, normed, state, f"dec{i}.self", mask, cache))
         normed = _ln(x, state, f"dec{i}.ln2")
-        x = T.add(x, _attention(normed, memory, state, f"dec{i}.cross", None, collect_attn, cache))
+        x = T.add(x, _attention(normed, memory, state, f"dec{i}.cross", None, cache))
         x = T.add(x, _ffn(_ln(x, state, f"dec{i}.ln3"), state, f"dec{i}.ffn"))
     if cache is not None:
         cache.length = t + n
@@ -359,7 +345,7 @@ def greedy_decode(
     with no_grad():
         nxt = BOS_ID
         for _ in range(max_len):
-            logits = decode_stack(state, memory, [nxt], None, cache)
+            logits = decode_stack(state, memory, [nxt], cache)
             nxt = int(np.argmax(logits.data[-1]))
             out.append(nxt)
             if is_sentinel(nxt):
@@ -426,7 +412,9 @@ def load_checkpoint(path: str) -> ModelState:
                 if pooling != "mean":
                     raise ValueError(f"unsupported GBST pooling {pooling!r}")
                 gbst = GbstConfig(**gbst_fields)
-            step = int(header["step"])
+            step = header["step"]
+            if type(step) is not int or step < 0:  # the rule of check_int_fields, and >= 0
+                raise ValueError(f"step must be a non-negative integer, got {step!r}")
             metas = [(m["name"], m["shape"]) for m in header["params"]]
             if stack.encoder_layers + stack.decoder_layers > len(metas):  # a layer has parameters
                 raise ValueError("more layers than listed parameters")

@@ -158,7 +158,7 @@ def run_oracle_suite(
 
     Returns (worst absolute difference, number of failing instances).
     """
-    from .subword import GbstParams, gbst_forward
+    from .subword import gbst_forward
     from .tensor import Parameter, Tensor, no_grad
 
     rng = np.random.default_rng(seed)
@@ -188,11 +188,10 @@ def run_oracle_suite(
         scorer = rng.normal(size=(d, 1))
         filters = rng.normal(size=(conv_k, d, d)) if conv_k else None
         bias = rng.normal(size=d) if conv_k else None
-        params = GbstParams(
-            scorer=Parameter("scorer", scorer),
-            conv_filters=Parameter("conv_filters", filters) if conv_k else None,
-            conv_bias=Parameter("conv_bias", bias) if conv_k else None,
-        )
+        params = {"gbst.scorer": Parameter("gbst.scorer", scorer)}
+        if conv_k:
+            params["gbst.conv_filters"] = Parameter("gbst.conv_filters", filters)
+            params["gbst.conv_bias"] = Parameter("gbst.conv_bias", bias)
         with no_grad():
             out = gbst_forward(Tensor(x), cfg, params)
         ref = gbst_forward_reference(x, cfg, scorer, filters, bias)

@@ -122,28 +122,17 @@ class GbstOutput:
     scores: ScoreMatrix
 
 
-@dataclass
-class GbstParams:
-    """Trainable pieces of the layer: optional conv, and the block scorer."""
-
-    scorer: Parameter
-    conv_filters: Parameter | None = None
-    conv_bias: Parameter | None = None
-
-    def parameters(self) -> list[Parameter]:
-        return [p for p in (self.conv_filters, self.conv_bias, self.scorer) if p is not None]
-
-
 def gbst_parameter_specs(cfg: GbstConfig) -> dict[str, tuple[tuple[int, ...], float]]:
     """Name -> (shape, init std) of every parameter of the layer, in parameter
-    order. Weights are drawn from N(0, 1/fan_in); a std of 0 means zeros."""
+    order, under the model's ``gbst.`` names. Weights are drawn from
+    N(0, 1/fan_in); a std of 0 means zeros."""
     d = cfg.embedding_dim
     specs = {}
     if cfg.conv_kernel_size is not None:
         k = cfg.conv_kernel_size
-        specs["conv_filters"] = ((k, d, d), (k * d) ** -0.5)
-        specs["conv_bias"] = ((d,), 0.0)
-    specs["scorer"] = ((d, 1), d ** -0.5)
+        specs["gbst.conv_filters"] = ((k, d, d), (k * d) ** -0.5)
+        specs["gbst.conv_bias"] = ((d,), 0.0)
+    specs["gbst.scorer"] = ((d, 1), d ** -0.5)
     return specs
 
 
@@ -155,12 +144,12 @@ def draw_parameter(
     return Parameter(name, rng.normal(0.0, std, size=shape) if std else np.full(shape, fill))
 
 
-def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator) -> GbstParams:
-    """Draws in parameter order, under the model's ``gbst.`` names."""
-    return GbstParams(**{
-        name: draw_parameter("gbst." + name, shape, std, 0.0, rng)
+def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator) -> dict[str, Parameter]:
+    """Name -> ``Parameter`` of the layer, drawn in parameter order."""
+    return {
+        name: draw_parameter(name, shape, std, 0.0, rng)
         for name, (shape, std) in gbst_parameter_specs(cfg).items()
-    })
+    }
 
 
 def enumerate_blocks(x: Tensor, cfg: GbstConfig) -> BlockCandidates:
@@ -206,18 +195,22 @@ def downsample(latent: Tensor, rate: int) -> Tensor:
     return T.mean_pool_1d(latent, rate)
 
 
-def gbst_forward(x: Tensor, cfg: GbstConfig, params: GbstParams) -> GbstOutput:
+def gbst_forward(x: Tensor, cfg: GbstConfig, params: dict[str, Tensor]) -> GbstOutput:
     """Full layer: optional conv, enumerate, score, optional calibration,
-    mix, downsample. Retains the score matrix for visualization."""
+    mix, downsample. Retains the score matrix for visualization.
+
+    ``params`` maps the names of ``gbst_parameter_specs`` to tensors:
+    ``gbst.scorer``, plus ``gbst.conv_filters`` and ``gbst.conv_bias`` when
+    there is a conv. A model's whole parameter table serves as it is."""
     n, d = x.shape
     if d != cfg.embedding_dim:
         raise ShapeError(f"input dim {d} != configured embedding_dim {cfg.embedding_dim}")
     if n < cfg.downsample_rate:
         raise ShapeError(f"sequence length {n} < downsample rate {cfg.downsample_rate}")
     if cfg.conv_kernel_size is not None:
-        x = T.conv1d_same(x, params.conv_filters, params.conv_bias)
+        x = T.conv1d_same(x, params["gbst.conv_filters"], params["gbst.conv_bias"])
     candidates = enumerate_blocks(x, cfg)
-    scores = score_blocks(candidates, params.scorer)
+    scores = score_blocks(candidates, params["gbst.scorer"])
     if cfg.enable_calibration:
         scores.calibrated = calibrate_scores(scores.weights)
     latent = form_latent(candidates, scores.mixing_weights())

@@ -9,8 +9,11 @@ one is ``requires_grad = False``, after which it gets no gradient, and an op
 none of whose inputs requires a gradient records nothing. All storage is
 float64 and row-major; ops copy rather than alias, and every forward result
 is checked for NaN/Inf. The one exception to the copying is
-``cached_attention``, the no-tape op of incremental decoding, which reads
-views of a K/V cache's buffers.
+``cached_attention``, the no-tape op of incremental decoding, which runs on
+head-split views of its key and value rows. ``multi_head_attention`` splits
+the same way but copies the views: BLAS may round a product over a strided
+view differently from one over a contiguous copy, and training keeps the
+bits of the per-head op chain.
 """
 
 from __future__ import annotations
@@ -417,10 +420,31 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 BLOCK = 1 << 16
 
 
-def _attend(qh, kt, vh, scale, mask, collect):
-    """The forward of both attention ops, over operands split into heads:
-    (h, n, hd) queries, (h, hd, m) keys and (h, m, hd) values. Returns the
-    (h, n, m) probabilities and the (n, h*hd) head outputs side by side.
+def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
+    """The operand checks of both attention ops. ``q`` is (n, heads*hd) and
+    ``k``/``v`` are (m, heads*hd); head i owns columns [i*hd, (i+1)*hd).
+    Returns views of them split into heads: (h, n, hd) queries, (h, hd, m)
+    keys and (h, m, hd) values."""
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(f"attention expects 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    n, width = q.shape
+    m = k.shape[0]
+    if heads < 1 or width % heads:
+        raise ShapeError(f"width {width} does not split into {heads} heads")
+    if k.shape != (m, width) or v.shape != (m, width):
+        raise ShapeError(f"k and v must be ({m}, {width}), got {k.shape} and {v.shape}")
+    hd = width // heads
+    return (
+        q.reshape(n, heads, hd).transpose(1, 0, 2),
+        k.reshape(m, heads, hd).transpose(1, 2, 0),
+        v.reshape(m, heads, hd).transpose(1, 0, 2),
+    )
+
+
+def _attend(qh, kt, vh, scale, mask):
+    """The forward of both attention ops, over the operands ``_heads``
+    splits. Returns the (h, n, m) probabilities and the (n, h*hd) head
+    outputs side by side.
 
     Each product is one ``np.matmul`` batched over heads, which numpy runs as
     one BLAS call per head, with the bits of a 2-D matmul per head. The
@@ -444,8 +468,6 @@ def _attend(qh, kt, vh, scale, mask, collect):
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-    if collect is not None:
-        collect.extend(probs)
     return probs, np.matmul(probs, vh).transpose(1, 0, 2).reshape(n, heads * hd)
 
 
@@ -455,7 +477,6 @@ def multi_head_attention(
     v: Tensor,
     heads: int,
     mask: np.ndarray | None = None,
-    collect: list | None = None,
     scale: float | None = None,
 ) -> Tensor:
     """Scaled dot-product attention over ``heads`` column groups, as one op.
@@ -463,33 +484,22 @@ def multi_head_attention(
     ``q`` is (n, heads*hd) and ``k``/``v`` are (m, heads*hd); head i owns
     columns [i*hd, (i+1)*hd). ``mask`` is an optional constant additive
     (n, m) array. ``scale`` multiplies the scores and defaults to
-    1/sqrt(hd). Returns the (n, heads*hd) head outputs side by side.
-    ``collect`` receives the (n, m) probability matrix of each head. GBST
+    1/sqrt(hd). Returns the (n, heads*hd) head outputs side by side. GBST
     score calibration, softmax(P P^T) P, is the one-head, unit-scale case
     with q = k = v = P.
 
-    The forward is ``_attend`` on contiguous head-split copies of q, k and
-    v: the operands of the per-head chain of slice, transpose, matmul, scale,
+    The forward is ``_attend`` on contiguous copies of the ``_heads`` views:
+    the operands of the per-head chain of slice, transpose, matmul, scale,
     mask, softmax and concat ops, which the tests keep as the reference. So
     this op is bit-identical to that chain, forward and backward. The
     backward runs head by head and reuses one (n, m) scratch, walked in row
     blocks, for each head's score gradient in turn.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(f"attention expects 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
-    n, width = q.shape
-    m = k.shape[0]
-    if heads < 1 or width % heads:
-        raise ShapeError(f"width {width} does not split into {heads} heads")
-    if k.shape != (m, width) or v.shape != (m, width):
-        raise ShapeError(f"k and v must be ({m}, {width}), got {k.shape} and {v.shape}")
-    hd = width // heads
+    qh, kt, vh = (a.copy() for a in _heads(q.data, k.data, v.data, heads))
+    (n, width), m, hd = q.shape, k.shape[0], qh.shape[2]
     if scale is None:
         scale = 1.0 / math.sqrt(hd)
-    qh = q.data.reshape(n, heads, hd).transpose(1, 0, 2).copy()  # (h, n, hd)
-    kt = k.data.reshape(m, heads, hd).transpose(1, 2, 0).copy()  # (h, hd, m)
-    vh = v.data.reshape(m, heads, hd).transpose(1, 0, 2).copy()  # (h, m, hd)
-    probs, out = _attend(qh, kt, vh, scale, mask, collect)
+    probs, out = _attend(qh, kt, vh, scale, mask)
 
     def _bw(g):
         go = g.reshape(n, heads, hd).transpose(1, 0, 2).copy()
@@ -518,34 +528,20 @@ def multi_head_attention(
 
 
 def cached_attention(
-    q: Tensor,
-    kt: np.ndarray,
-    vh: np.ndarray,
-    mask: np.ndarray | None = None,
-    collect: list | None = None,
+    q: Tensor, k: np.ndarray, v: np.ndarray, heads: int, mask: np.ndarray | None = None
 ) -> Tensor:
-    """Attention of ``q`` over keys and values already split into heads, for
-    incremental decoding; it records nothing and refuses to run with
-    gradients on.
-
-    ``q`` is (n, heads*hd) with head i in columns [i*hd, (i+1)*hd), ``kt`` is
-    (heads, hd, m) and ``vh`` is (heads, m, hd): the layouts a ``KVCache``
-    holds. ``mask`` and ``collect`` are as in ``multi_head_attention``, and
-    the scale is 1/sqrt(hd). It runs ``_attend`` on views of q and of the
-    cache's buffers, so it matches ``multi_head_attention`` to 1e-10, not
-    bit for bit: BLAS may round a product over a strided view of a buffer
-    differently from one over a contiguous copy.
+    """``multi_head_attention`` at its default scale, for incremental
+    decoding: ``k`` and ``v`` are arrays of key and value rows, such as a
+    ``KVCache`` holds. It records nothing and refuses to run with gradients
+    on. It runs ``_attend`` on the ``_heads`` views without copying them, so
+    it matches ``multi_head_attention`` to 1e-10, not bit for bit: BLAS may
+    round a product over a strided view differently from one over a
+    contiguous copy.
     """
     if _grad_enabled:
         raise TapeError("cached_attention records no gradient; call it under no_grad()")
-    if q.data.ndim != 2 or kt.ndim != 3 or vh.ndim != 3:
-        raise ShapeError(f"expected 2-D q and 3-D k, v, got {q.shape}, {kt.shape}, {vh.shape}")
-    n, width = q.shape
-    heads, hd, m = kt.shape
-    if heads * hd != width or vh.shape != (heads, m, hd):
-        raise ShapeError(f"keys {kt.shape} and values {vh.shape} do not fit queries of width {width}")
-    qh = q.data.reshape(n, heads, hd).transpose(1, 0, 2)
-    _, out = _attend(qh, kt, vh, 1.0 / math.sqrt(hd), mask, collect)
+    qh, kt, vh = _heads(q.data, k, v, heads)
+    _, out = _attend(qh, kt, vh, 1.0 / math.sqrt(qh.shape[2]), mask)
     return _record("cached_attention", out, (q,), None)
 
 

@@ -288,6 +288,8 @@ def test_gradcheck_cli(capsys):
     out = capsys.readouterr().out
     for group in ("embedding", "conv", "scorer", "attention", "ffn"):
         assert group in out
+    # the measured errors, not 0 for a difference below some absolute cut-off
+    assert max(float(line.split("\t")[1]) for line in out.splitlines()) > 0.0
 
 
 def test_gradcheck_negative_control(capsys):

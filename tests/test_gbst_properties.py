@@ -47,9 +47,9 @@ def test_forward_matches_reference_and_rows_sum_to_one(
     x = rng.normal(size=(n, d))
     with no_grad():
         out = gbst_forward(Tensor(x), cfg, params)
-    filters = params.conv_filters.data if conv else None
-    bias = params.conv_bias.data if conv else None
-    ref = gbst_forward_reference(x, cfg, params.scorer.data, filters, bias)
+    filters = params["gbst.conv_filters"].data if conv else None
+    bias = params["gbst.conv_bias"].data if conv else None
+    ref = gbst_forward_reference(x, cfg, params["gbst.scorer"].data, filters, bias)
     for name, got in (
         ("raw", out.scores.raw),
         ("weights", out.scores.weights),

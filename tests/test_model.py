@@ -27,7 +27,6 @@ from gbst.model import (
     greedy_decode,
     load_checkpoint,
     parameter_specs,
-    run_frontend,
     save_checkpoint,
 )
 from gbst.subword import GbstConfig, gbst_parameter_specs
@@ -59,18 +58,6 @@ def test_zero_layer_encoder_is_identity_plus_positions():
         out = encode_stack(state, x)
     expected = x.data + state["pos_enc"].data[:5]
     npt.assert_array_equal(out.data, expected)
-
-
-def test_attention_rows_sum_to_one():
-    state = desk_state()
-    seq = encode("attention weights are row stochastic")
-    collected = []
-    with no_grad():
-        x, _ = run_frontend(state, seq.ids)
-        encode_stack(state, x, collect_attn=collected)
-    assert collected  # heads x layers matrices
-    for probs in collected:
-        npt.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_decoder_causality_bit_identical():
@@ -141,11 +128,7 @@ def test_cached_greedy_decode_matches_teacher_forced_pass():
         for chunk in (1, 3, 7, 16):
             cache, parts = KVCache(), []
             for start in range(0, len(prefix), chunk):
-                ids, attn = prefix[start : start + chunk], []
-                parts.append(decode_stack(state, memory, ids, attn, cache).data)
-                n = len(ids)
-                per_layer = [(n, start + n)] * DESK.heads + [(n, memory.shape[0])] * DESK.heads
-                assert [p.shape for p in attn] == per_layer * DESK.decoder_layers
+                parts.append(decode_stack(state, memory, prefix[start : start + chunk], cache).data)
             incremental = np.concatenate(parts)
             assert cache.length == len(prefix)
             assert np.abs(incremental - full).max() <= 1e-10
@@ -161,10 +144,10 @@ def test_cached_decode_step_does_not_copy_the_memory_keys():
     memory = T.constant(np.random.default_rng(3).normal(size=(rows, DESK.d_model)))
     cache = KVCache()
     with no_grad():
-        decode_stack(state, memory, [BOS_ID], None, cache)
+        decode_stack(state, memory, [BOS_ID], cache)
         tracemalloc.start()
         try:
-            decode_stack(state, memory, [65], None, cache)
+            decode_stack(state, memory, [65], cache)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -187,18 +170,18 @@ def test_kv_cache_rejects_gradients_and_a_different_memory():
         memory, _ = encode_input(state, encode("one memory").ids)
         other, _ = encode_input(state, encode("another memory").ids)
     with pytest.raises(TapeError):
-        decode_stack(state, memory, [BOS_ID], None, KVCache())
+        decode_stack(state, memory, [BOS_ID], KVCache())
     cache = KVCache()
     with no_grad():
-        decode_stack(state, memory, [BOS_ID], None, cache)
+        decode_stack(state, memory, [BOS_ID], cache)
         with pytest.raises(ConfigError):
-            decode_stack(state, other, [BOS_ID], None, cache)
+            decode_stack(state, other, [BOS_ID], cache)
 
 
 def test_gbst_parameters_follow_their_declaration():
     state = desk_state(seed=2)
     specs = gbst_parameter_specs(state.gbst)
-    assert [p.name for p in state.gbst_parameters()] == ["gbst." + n for n in specs]
+    assert [p.name for p in state.gbst_parameters()] == list(specs)
     assert [p.data.shape for p in state.gbst_parameters()] == [shape for shape, _ in specs.values()]
     assert not state["gbst.conv_bias"].data.any()  # a std of 0 is a zero init
 
@@ -303,6 +286,11 @@ def with_field(section, key, value):
     return lambda header, blobs: framed({**header, section: {**header[section], key: value}}) + blobs
 
 
+def with_step(value):
+    """The defect of the step counter set to ``value``."""
+    return lambda header, blobs: framed({**header, "step": value}) + blobs
+
+
 def with_shape(name, shape):
     """The defect of one parameter's listed shape set to ``shape``."""
     return lambda header, blobs: framed(
@@ -337,6 +325,11 @@ HEADER_DEFECTS = {
     "float_conv_kernel_size": with_field("gbst", "conv_kernel_size", 5.0),
     "fractional_max_block_size": with_field("gbst", "max_block_size", 2.5),
     "float_downsample_rate": with_field("gbst", "downsample_rate", 2.0),
+    # a step that is not a non-negative int
+    "fractional_step": with_step(2.5),
+    "bool_step": with_step(True),
+    "string_step": with_step("7"),
+    "negative_step": with_step(-1),
 }
 
 

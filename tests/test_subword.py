@@ -10,7 +10,6 @@ from gbst.reference import gbst_forward_reference, run_oracle_suite
 from gbst.subword import (
     BlockCandidateSet,
     GbstConfig,
-    GbstParams,
     calibrate_scores,
     downsample,
     enumerate_blocks,
@@ -107,7 +106,7 @@ def test_single_stream_weights_are_one():
 def test_weight_rows_sum_to_one():
     cfg = make_cfg(d=4, max_block_size=4, enable_offsets=True)
     x = Tensor(np.random.default_rng(5).normal(size=(11, 4)))
-    scores = score_blocks(enumerate_blocks(x, cfg), random_params(cfg).scorer)
+    scores = score_blocks(enumerate_blocks(x, cfg), random_params(cfg)["gbst.scorer"])
     npt.assert_allclose(scores.weights.data.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -304,8 +303,9 @@ def test_forward_matches_reference():
     x = rng.normal(size=(16, 8))
     with no_grad():
         out = gbst_forward(Tensor(x), cfg, params)
+    arrays = {name: p.data for name, p in params.items()}
     ref = gbst_forward_reference(
-        x, cfg, params.scorer.data, params.conv_filters.data, params.conv_bias.data
+        x, cfg, arrays["gbst.scorer"], arrays["gbst.conv_filters"], arrays["gbst.conv_bias"]
     )
     assert np.abs(out.downsampled.data - ref["downsampled"]).max() < 1e-10
 
@@ -414,7 +414,7 @@ def test_gradient_flow_scorer_and_conv():
     out = gbst_forward(x, cfg, params)
     backward(T.sum_all(T.mul(out.downsampled, out.downsampled)))
     h = 1e-5
-    for p in params.parameters():
+    for p in params.values():
         flat = p.data.ravel()
         gflat = p.grad.ravel()
         idx = int(np.abs(gflat).argmax())
@@ -434,7 +434,7 @@ def test_gradient_flow_scorer_and_conv():
 def test_serialize_scores_format():
     cfg = make_cfg(d=3, max_block_size=4)
     x = Tensor(np.random.default_rng(20).normal(size=(5, 3)))
-    scores = score_blocks(enumerate_blocks(x, cfg), random_params(cfg, seed=20).scorer)
+    scores = score_blocks(enumerate_blocks(x, cfg), random_params(cfg, seed=20)["gbst.scorer"])
     text = serialize_scores(scores)
     lines = text.strip().split("\n")
     assert len(lines) == 4
@@ -449,7 +449,7 @@ def test_serialize_scores_format():
 def test_serialize_labels_with_offsets():
     cfg = make_cfg(d=2, max_block_size=2, enable_offsets=True)
     x = Tensor(np.random.default_rng(21).normal(size=(5, 2)))
-    scores = score_blocks(enumerate_blocks(x, cfg), random_params(cfg, seed=21).scorer)
+    scores = score_blocks(enumerate_blocks(x, cfg), random_params(cfg, seed=21)["gbst.scorer"])
     lines = serialize_scores(scores).strip().split("\n")
     assert [line.split("\t")[0] for line in lines] == ["b=1", "b=2", "b=2,o=1"]
 

@@ -335,7 +335,7 @@ def concat_last_axis(parts):
     return T._record("concat_last_axis", out, tuple(parts), _bw)
 
 
-def unfused_attention(q, k, v, heads, mask=None, collect=None):
+def unfused_attention(q, k, v, heads, mask=None):
     """The per-head op chain that multi_head_attention replaces."""
     hd = q.shape[1] // heads
     scale = 1.0 / math.sqrt(hd)
@@ -347,10 +347,7 @@ def unfused_attention(q, k, v, heads, mask=None, collect=None):
         scores = T.mul(T.matmul(qs, transpose_2d(ks)), scale)
         if mask is not None:
             scores = T.add(scores, T.constant(mask))
-        probs = T.softmax_last_axis(scores)
-        if collect is not None:
-            collect.append(probs.data)
-        outs.append(T.matmul(probs, vs))
+        outs.append(T.matmul(T.softmax_last_axis(scores), vs))
     return outs[0] if heads == 1 else concat_last_axis(outs)
 
 
@@ -385,10 +382,9 @@ def test_attention_bit_identical_to_unfused_chain(n, m, heads, masked, seed):
     for attend in (unfused_attention, T.multi_head_attention):
         reset_tape()
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-        probs = []
-        out = attend(q, k, v, heads, mask, probs)
+        out = attend(q, k, v, heads, mask)
         backward(T.sum_all(T.mul(out, w)))
-        outputs = (out.data, q.grad, k.grad, v.grad, *probs)
+        outputs = (out.data, q.grad, k.grad, v.grad)
         results.append([hashlib.sha256(a.tobytes()).hexdigest() for a in outputs])
     assert results[1] == results[0]
 
@@ -435,39 +431,41 @@ def test_attention_shared_operand_gradient_vs_fd():
     )
 
 
-def test_attention_one_record_and_collected_probabilities():
+def test_attention_is_one_record():
     rng = np.random.default_rng(15)
     q, k, v = (Tensor(rng.normal(size=(r, 8)), requires_grad=True) for r in (3, 5, 5))
-    probs = []
-    T.multi_head_attention(q, k, v, 4, collect=probs)
+    T.multi_head_attention(q, k, v, 4)
     assert len(T.active_tape()) == 1
-    assert len(probs) == 4 and all(p.shape == (3, 5) for p in probs)
-    npt.assert_allclose(np.sum(probs, axis=-1), 1.0, atol=1e-12)
 
 
 def test_attention_shape_errors():
-    x = Tensor(np.zeros((3, 8)))
-    with pytest.raises(ShapeError):
-        T.multi_head_attention(x, x, x, 3)
-    with pytest.raises(ShapeError):
-        T.multi_head_attention(x, Tensor(np.zeros((3, 4))), x, 2)
-    with pytest.raises(ShapeError):
-        T.multi_head_attention(x, x, x, 2, mask=np.zeros((3, 4)))
-    with pytest.raises(ShapeError):
-        T.multi_head_attention(x, Tensor(np.zeros((0, 8))), Tensor(np.zeros((0, 8))), 2)
+    # both ops check their operands in the same place
+    x = np.zeros((3, 8))
+    cases = [
+        (x, x, x, 3, None),  # width 8 does not split into 3 heads
+        (x, np.zeros((3, 4)), x, 2, None),
+        (x, x, np.zeros((4, 8)), 2, None),
+        (x, np.zeros(8), x, 2, None),
+        (x, x, x, 2, np.zeros((3, 4))),
+        (x, np.zeros((0, 8)), np.zeros((0, 8)), 2, None),
+    ]
+    for q, k, v, heads, mask in cases:
+        with pytest.raises(ShapeError):
+            T.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, mask)
+        with no_grad(), pytest.raises(ShapeError):
+            T.cached_attention(Tensor(q), k, v, heads, mask)
 
 
-def cache_layout(k, v, heads, spare):
-    """``k`` and ``v`` (m, heads*hd) split as a ``KVCache`` holds them: views
-    of (heads, hd, m + spare) and (heads, m + spare, hd) buffers whose
-    ``spare`` unused rows are NaN, which any read of them would surface."""
-    m, width = k.shape
-    hd = width // heads
-    kt = np.full((heads, hd, m + spare), np.nan)
-    vh = np.full((heads, m + spare, hd), np.nan)
-    kt[:, :, :m] = k.reshape(m, heads, hd).transpose(1, 2, 0)
-    vh[:, :m] = v.reshape(m, heads, hd).transpose(1, 0, 2)
-    return kt[:, :, :m], vh[:, :m]
+def cache_layout(k, v, spare):
+    """``k`` and ``v`` as a ``KVCache`` holds them: views of the first rows
+    of buffers with ``spare`` more rows, which are NaN, so that any read of
+    them would surface."""
+    views = []
+    for rows in (k, v):
+        buffer = np.full((len(rows) + spare, rows.shape[1]), np.nan)
+        buffer[: len(rows)] = rows
+        views.append(buffer[: len(rows)])
+    return views
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -484,22 +482,16 @@ def test_cached_attention_matches_multi_head_attention(n, m, heads, masked, spar
     rng = np.random.default_rng(seed)
     q, k, v = (rng.normal(size=(rows, heads * 16)) for rows in (n, m, m))
     mask = causal_mask(n, m - n) if masked else None
-    expected, got = [], []
     with no_grad():
-        ref = T.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, expected)
-        out = T.cached_attention(Tensor(q), *cache_layout(k, v, heads, spare), mask, got)
+        ref = T.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, mask)
+        out = T.cached_attention(Tensor(q), *cache_layout(k, v, spare), heads, mask)
     assert np.abs(out.data - ref.data).max() <= 1e-10
-    assert len(got) == heads
-    assert max(np.abs(a - b).max() for a, b in zip(got, expected)) <= 1e-10
 
 
-def test_cached_attention_refuses_gradients_and_bad_shapes():
-    q = Tensor(np.zeros((2, 8)))
-    kt, vh = np.zeros((2, 4, 3)), np.zeros((2, 3, 4))
+def test_cached_attention_refuses_gradients():
+    rows = np.zeros((3, 8))
     with pytest.raises(TapeError):
-        T.cached_attention(q, kt, vh)
-    with no_grad(), pytest.raises(ShapeError):
-        T.cached_attention(q, kt, np.zeros((2, 4, 4)))
+        T.cached_attention(Tensor(rows), rows, rows, 2)
 
 
 # --- backward / tape --------------------------------------------------------
