@@ -1,4 +1,5 @@
-"""Print the bits that a refactor must keep: training and cached decoding.
+"""Print the bits that a refactor must keep: initialization, training and
+cached decoding.
 
 Run from anywhere: ``python3 scripts/bit_hashes.py``. The script imports the
 ``gbst`` package of the checkout it sits in and pins BLAS to one thread.
@@ -7,6 +8,9 @@ Diff its output against the same script run in a copy of another commit (a
 
 Lines printed:
 
+- ``init <name> sha256=<...>``: the SHA-256 over every parameter's name and
+  float64 bytes of ``init_gbst_params`` at ``default_rng(0)``, the GBST-only
+  init of the oracle suite, for a small config with and without a conv;
 - ``train <config> sha256=<...> records=<...>``: the SHA-256 over every
   parameter's name and float64 bytes after ``train_loop``, and the tape
   records of each step (one number when all steps record the same count);
@@ -32,10 +36,14 @@ from gbst import tensor as T  # noqa: E402
 from gbst.bytes_data import ByteSequence, load_corpus  # noqa: E402
 from gbst.cli import bundled_corpus_path  # noqa: E402
 from gbst.model import BOS_ID, KVCache, ModelState, StackConfig, decode_stack, encode_input  # noqa: E402
-from gbst.subword import GbstConfig  # noqa: E402
+from gbst.subword import GbstConfig, init_gbst_params  # noqa: E402
 from gbst.train import TrainConfig, train_loop  # noqa: E402
 
 DESK_GBST = GbstConfig(embedding_dim=64)
+INIT = {
+    "conv5": GbstConfig(embedding_dim=8),
+    "no_conv": GbstConfig(embedding_dim=8, conv_kernel_size=None),
+}
 # name -> (stack, gbst, batch size, window length, steps)
 TRAINING = {
     "desk": (StackConfig(), DESK_GBST, 8, 128, 20),
@@ -59,12 +67,17 @@ def joined_corpus() -> list[ByteSequence]:
     return [ByteSequence(ids)]
 
 
-def parameter_hash(state: ModelState) -> str:
+def parameter_hash(params: dict) -> str:
     h = hashlib.sha256()
-    for name, p in state.params.items():
+    for name, p in params.items():
         h.update(name.encode("utf-8"))
         h.update(np.ascontiguousarray(p.data).tobytes())
     return h.hexdigest()
+
+
+def init_line(name: str) -> str:
+    params = init_gbst_params(INIT[name], np.random.default_rng(0))
+    return f"init {name} sha256={parameter_hash(params)}"
 
 
 def train_line(name: str, docs: list[ByteSequence]) -> str:
@@ -75,7 +88,7 @@ def train_line(name: str, docs: list[ByteSequence]) -> str:
     train_loop(state, docs, cfg, log_fn=lambda _: records.append(len(T.active_tape())))
     counts = sorted(set(records))
     shown = str(counts[0]) if len(counts) == 1 else ",".join(map(str, records))
-    return f"train {name} sha256={parameter_hash(state)} records={shown}"
+    return f"train {name} sha256={parameter_hash(state.params)} records={shown}"
 
 
 def decode_line(seed: int, docs: list[ByteSequence]) -> str:
@@ -96,6 +109,8 @@ def decode_line(seed: int, docs: list[ByteSequence]) -> str:
 
 
 def main() -> None:
+    for name in INIT:
+        print(init_line(name), flush=True)
     docs = joined_corpus()
     for name in TRAINING:
         print(train_line(name, docs), flush=True)

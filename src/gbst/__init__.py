@@ -1,7 +1,7 @@
 """Byte-level encoder-decoder with a gradient-based soft subword tokenization
 frontend, built on a minimal float64 autodiff tensor core."""
 
-from .bytes_data import ByteSequence, SpanCorruptionExample, corrupt_spans, decode, embed, encode
+from .bytes_data import ByteSequence, SpanCorruptionExample, corrupt_spans, decode, encode
 from .errors import ConfigError, NonFiniteError, ShapeError, TapeError
 from .model import ModelState, StackConfig, load_checkpoint, save_checkpoint
 from .subword import GbstConfig, GbstOutput, gbst_forward, init_gbst_params
@@ -26,7 +26,6 @@ __all__ = [
     "backward",
     "corrupt_spans",
     "decode",
-    "embed",
     "encode",
     "evaluate",
     "gbst_forward",

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
 
 VOCAB_SIZE = 256
 SENTINEL_COUNT = 100
@@ -182,12 +180,6 @@ def reconstruct(example: SpanCorruptionExample) -> ByteSequence:
         else:
             out.append(t)
     return ByteSequence(out)
-
-
-def embed(seq: ByteSequence, table: Tensor) -> Tensor:
-    """Look up one embedding row per byte id; gradients scatter back. Ids must
-    be below the table's row count (256 for the full byte vocabulary)."""
-    return T.embedding_gather(table, seq.ids)
 
 
 def load_corpus(path: str) -> list[ByteSequence]:

@@ -179,8 +179,6 @@ def cmd_profile(args) -> int:
         if not args.no_bench:
             state = ModelState(stack, gbst, seed=cfg.seed)
             bench = benchmark_steps(state, row_cfg.train_config(), args.bench_steps, seq_len)
-            report.steps_per_second = bench.steps_per_second
-            report.peak_alloc_bytes = bench.peak_alloc_bytes
             speed = f"{bench.steps_per_second:9.3f}"
         print(f"{frontend:>10} {rate if rate is not None else '-':>4} "
               f"{report.params:>10} {report.flops_forward:>14} {speed:>9}")

@@ -65,7 +65,7 @@ def count_flops(
             raise ConfigError("gbst frontend needs a GbstConfig")
         if L < gbst.downsample_rate:
             raise ConfigError("seq_len shorter than the downsample rate")
-        C = gbst.stream_count()
+        C = len(gbst.stream_keys())
         if gbst.conv_kernel_size is not None:
             bd["gbst.conv"] = 2 * L * gbst.conv_kernel_size * d * d
         bd["gbst.pooling"] = C * L * d

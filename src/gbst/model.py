@@ -71,8 +71,7 @@ def parameter_specs(
             raise ConfigError(
                 f"gbst embedding_dim {gbst.embedding_dim} must equal d_model {d}"
             )
-        for n, (shape, std) in gbst_parameter_specs(gbst).items():
-            specs[n] = (shape, std, 0.0)
+        specs.update(gbst_parameter_specs(gbst))
 
     def attn(prefix: str):
         for w in ("wq", "wk", "wv"):
@@ -299,22 +298,15 @@ def decode_stack(
     return T.matmul(x, state["out_proj"])
 
 
-def sequence_loss(
-    state: ModelState, enc_ids: list[int], target_ids: list[int], reduction: str = "mean"
-) -> Tensor:
-    """Teacher-forced cross entropy of a target given encoder bytes."""
-    if not target_ids:
-        raise ShapeError("target must be non-empty")
-    memory, _ = encode_input(state, enc_ids)
-    dec_in = [BOS_ID] + list(target_ids[:-1])
-    logits = decode_stack(state, memory, dec_in)
-    return T.cross_entropy_with_logits(logits, target_ids, reduction=reduction)
-
-
 def example_loss(state: ModelState, example: SpanCorruptionExample, reduction: str = "mean") -> Tensor:
-    return sequence_loss(
-        state, example.encoder_input.ids, example.decoder_target.ids, reduction=reduction
-    )
+    """Teacher-forced cross entropy of the example's decoder target given its
+    encoder input: the decoder reads BOS and then the target shifted right."""
+    target = example.decoder_target.ids
+    if not target:
+        raise ShapeError("target must be non-empty")
+    memory, _ = encode_input(state, example.encoder_input.ids)
+    logits = decode_stack(state, memory, [BOS_ID, *target[:-1]])
+    return T.cross_entropy_with_logits(logits, target, reduction=reduction)
 
 
 def greedy_decode(

@@ -64,9 +64,6 @@ class GbstConfig:
                 keys.append((b, o))
         return keys
 
-    def stream_count(self) -> int:
-        return len(self.stream_keys())
-
 
 def _label(b: int, o: int) -> str:
     return f"b={b}" if o == 0 else f"b={b},o={o}"
@@ -99,7 +96,7 @@ class BlockCandidates:
         b, o, start, stop = self.spans[c]
         pooled = self.table.data[start:stop]
         realigned = np.repeat(pooled, b, axis=0)[: self.length]
-        return BlockCandidateSet(b, o, T.constant(pooled.copy()), T.constant(realigned))
+        return BlockCandidateSet(b, o, Tensor(pooled.copy()), Tensor(realigned))
 
 
 @dataclass
@@ -122,17 +119,18 @@ class GbstOutput:
     scores: ScoreMatrix
 
 
-def gbst_parameter_specs(cfg: GbstConfig) -> dict[str, tuple[tuple[int, ...], float]]:
-    """Name -> (shape, init std) of every parameter of the layer, in parameter
-    order, under the model's ``gbst.`` names. Weights are drawn from
-    N(0, 1/fan_in); a std of 0 means zeros."""
+def gbst_parameter_specs(cfg: GbstConfig) -> dict[str, tuple[tuple[int, ...], float, float]]:
+    """Name -> (shape, init std, fill) of every parameter of the layer, in
+    parameter order, under the model's ``gbst.`` names: the entry format of
+    ``model.parameter_specs``, which lists these as they are. Weights are
+    drawn from N(0, 1/fan_in); the conv bias has std 0 and fill 0, so zeros."""
     d = cfg.embedding_dim
     specs = {}
     if cfg.conv_kernel_size is not None:
         k = cfg.conv_kernel_size
-        specs["gbst.conv_filters"] = ((k, d, d), (k * d) ** -0.5)
-        specs["gbst.conv_bias"] = ((d,), 0.0)
-    specs["gbst.scorer"] = ((d, 1), d ** -0.5)
+        specs["gbst.conv_filters"] = ((k, d, d), (k * d) ** -0.5, 0.0)
+        specs["gbst.conv_bias"] = ((d,), 0.0, 0.0)
+    specs["gbst.scorer"] = ((d, 1), d ** -0.5, 0.0)
     return specs
 
 
@@ -147,8 +145,7 @@ def draw_parameter(
 def init_gbst_params(cfg: GbstConfig, rng: np.random.Generator) -> dict[str, Parameter]:
     """Name -> ``Parameter`` of the layer, drawn in parameter order."""
     return {
-        name: draw_parameter(name, shape, std, 0.0, rng)
-        for name, (shape, std) in gbst_parameter_specs(cfg).items()
+        name: draw_parameter(name, *spec, rng) for name, spec in gbst_parameter_specs(cfg).items()
     }
 
 

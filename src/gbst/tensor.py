@@ -164,10 +164,6 @@ def backward(loss: Tensor) -> None:
             fn(out.grad)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
@@ -188,17 +184,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), _bw)
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; also accepts a python scalar or a broadcastable operand
-    (row vector against a matrix, scalar tensor)."""
+def add(a: Tensor, b: Tensor | float) -> Tensor:
+    """Elementwise sum of broadcastable operands (a row vector against a
+    matrix, a 0-d tensor against anything). A Python scalar ``b`` becomes the
+    constant ``Tensor(float(b))``, so every call takes the one tensor path."""
     if not isinstance(b, Tensor):
-        out = a.data + float(b)
-
-        def _bw_scalar(g):
-            _accumulate(a, g)
-
-        return _record("add", out, (a,), _bw_scalar)
-
+        b = Tensor(float(b))
     out = a.data + b.data
 
     def _bw(g):
@@ -208,17 +199,11 @@ def add(a: Tensor, b) -> Tensor:
     return _record("add", out, (a, b), _bw)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; same broadcasting support as ``add``."""
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    """Elementwise product, with the broadcasting and the scalar ``b`` of
+    ``add``."""
     if not isinstance(b, Tensor):
-        c = float(b)
-        out = a.data * c
-
-        def _bw_scalar(g):
-            _accumulate(a, g * c)
-
-        return _record("mul", out, (a,), _bw_scalar)
-
+        b = Tensor(float(b))
     out = a.data * b.data
 
     def _bw(g):
@@ -563,8 +548,9 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
     return _record("embedding_gather", out, (table,), _bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row to zero mean / unit variance (with 1e-6 added to the
+    variance), then scale and shift."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the last axis")
@@ -572,7 +558,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 

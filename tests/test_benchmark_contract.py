@@ -16,8 +16,8 @@ import pytest
 
 from gbst import model as M
 from gbst import train as TR
-from gbst.bytes_data import encode
-from gbst.model import ModelState, StackConfig, sequence_loss
+from gbst.bytes_data import corrupt_spans, encode
+from gbst.model import ModelState, StackConfig, example_loss
 from gbst.subword import GbstConfig
 from gbst.tensor import no_grad, reset_tape
 
@@ -57,7 +57,7 @@ def test_traced_spans_are_called_through_their_modules(tracing, monkeypatch):
         monkeypatch.setattr(module, attr, counted)
     state = tiny_state()
     reset_tape()
-    sequence_loss(state, list(range(65, 81)), [66, 67, 68])
+    example_loss(state, corrupt_spans(encode("ABCDEFGHIJKLMNOP"), rng_seed=0))
     reset_tape()
     assert calls == {key: 1 for _, _, key in tracing._SPANS}
 

@@ -10,7 +10,6 @@ from gbst.bytes_data import (
     SpanCorruptionExample,
     corrupt_spans,
     decode,
-    embed,
     encode,
     format_example,
     is_sentinel,
@@ -19,7 +18,7 @@ from gbst.bytes_data import (
     sentinel_id,
 )
 from gbst.errors import ConfigError
-from gbst.tensor import Parameter, backward, reset_tape
+from gbst.tensor import Tensor
 
 
 # --- vocab and encoding -------------------------------------------------------
@@ -138,26 +137,10 @@ def test_corruption_rate_validated():
 # --- embedding --------------------------------------------------------------------
 
 
-def test_embed_one_hot_lookup():
-    table = Parameter("t", np.eye(4))
-    out = embed(ByteSequence([2]), table)
-    npt.assert_array_equal(out.data, [[0.0, 0.0, 1.0, 0.0]])
-
-
 def test_embed_repeated_ids_identical_rows():
-    table = Parameter("t", np.random.default_rng(1).normal(size=(256, 8)))
-    out = embed(encode("aa"), table)
+    table = Tensor(np.random.default_rng(1).normal(size=(256, 8)))
+    out = T.embedding_gather(table, encode("aa").ids)
     npt.assert_array_equal(out.data[0], out.data[1])
-
-
-def test_embed_gradient_counts_occurrences():
-    table = Parameter("t", np.random.default_rng(2).normal(size=(256, 4)))
-    seq = encode("abca")
-    reset_tape()
-    backward(T.sum_all(embed(seq, table)))
-    assert (table.grad[ord("a")] == 2.0).all()
-    assert (table.grad[ord("b")] == 1.0).all()
-    assert (table.grad[ord("z")] == 0.0).all()
 
 
 # --- export format ------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_cached_decode_step_does_not_copy_the_memory_keys():
     # a later one-byte step allocates far less than one (memory rows, width) array
     state = desk_state()
     rows, width = 1024, DESK.heads * DESK.head_dim
-    memory = T.constant(np.random.default_rng(3).normal(size=(rows, DESK.d_model)))
+    memory = Tensor(np.random.default_rng(3).normal(size=(rows, DESK.d_model)))
     cache = KVCache()
     with no_grad():
         decode_stack(state, memory, [BOS_ID], cache)
@@ -182,7 +182,7 @@ def test_gbst_parameters_follow_their_declaration():
     state = desk_state(seed=2)
     specs = gbst_parameter_specs(state.gbst)
     assert [p.name for p in state.gbst_parameters()] == list(specs)
-    assert [p.data.shape for p in state.gbst_parameters()] == [shape for shape, _ in specs.values()]
+    assert [p.data.shape for p in state.gbst_parameters()] == [shape for shape, _, _ in specs.values()]
     assert not state["gbst.conv_bias"].data.any()  # a std of 0 is a zero init
 
 

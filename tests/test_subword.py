@@ -75,7 +75,7 @@ def test_enumerate_matches_brute_force():
 
 def test_offsets_stream_count_and_shift():
     cfg = make_cfg(d=2, max_block_size=3, enable_offsets=True)
-    assert cfg.stream_count() == 1 + 2 + 3  # sum of b over 1..M
+    assert len(cfg.stream_keys()) == 1 + 2 + 3  # sum of b over 1..M
     x = np.random.default_rng(2).normal(size=(6, 2))
     sets = enumerate_blocks(Tensor(x), cfg)
     by_key = {(s.block_size, s.offset): s for s in sets}

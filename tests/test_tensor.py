@@ -346,7 +346,7 @@ def unfused_attention(q, k, v, heads, mask=None):
         vs = slice_cols(v, i * hd, (i + 1) * hd)
         scores = T.mul(T.matmul(qs, transpose_2d(ks)), scale)
         if mask is not None:
-            scores = T.add(scores, T.constant(mask))
+            scores = T.add(scores, Tensor(mask))
         outs.append(T.matmul(T.softmax_last_axis(scores), vs))
     return outs[0] if heads == 1 else concat_last_axis(outs)
 
