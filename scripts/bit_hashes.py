@@ -13,7 +13,9 @@ Lines printed:
   init of the oracle suite, for a small config with and without a conv;
 - ``train <config> sha256=<...> records=<...>``: the SHA-256 over every
   parameter's name and float64 bytes after ``train_loop``, and the tape
-  records of each step (one number when all steps record the same count);
+  records of each step (one number when all steps record the same count),
+  for the benchmark's three training configs and for the desk config at
+  batch 1 and 32 too;
 - ``decode seed=<s> sha256=<...> max_dev=<...>``: the SHA-256 of the logits
   of 100 one-byte cached greedy ``decode_stack`` steps, and their largest
   absolute deviation from one teacher-forced pass over the same prefix.
@@ -47,6 +49,8 @@ INIT = {
 # name -> (stack, gbst, batch size, window length, steps)
 TRAINING = {
     "desk": (StackConfig(), DESK_GBST, 8, 128, 20),
+    "desk_batch1": (StackConfig(), DESK_GBST, 1, 128, 20),
+    "desk_batch32": (StackConfig(), DESK_GBST, 32, 128, 6),
     "long_gbst": (
         StackConfig(),
         GbstConfig(embedding_dim=64, downsample_rate=4, enable_offsets=True, enable_calibration=True),

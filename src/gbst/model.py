@@ -58,7 +58,9 @@ def parameter_specs(
     the only place a parameter's shape and initial value are declared. A
     nonzero std draws N(0, std), 2-D weights with std = fan_in ** -0.5; a
     zero std fills with ``fill``. The GBST entries are
-    ``subword.gbst_parameter_specs``."""
+    ``subword.gbst_parameter_specs``. ``ModelState`` and ``load_checkpoint``
+    call it before allocating anything, so it also refuses the GBST sizes
+    that no input the model takes can use, which no parameter shape bounds."""
     d, h, hd, f = stack.d_model, stack.heads, stack.head_dim, stack.ffn_dim
     specs: dict[str, tuple[tuple[int, ...], float, float]] = {}
     specs["embedding"] = ((VOCAB_SIZE, d), 1.0, 0.0)
@@ -70,6 +72,17 @@ def parameter_specs(
         if gbst.embedding_dim != d:
             raise ConfigError(
                 f"gbst embedding_dim {gbst.embedding_dim} must equal d_model {d}"
+            )
+        # no input the model takes is longer than max_positions * downsample_rate
+        # bytes, and a forward pass lists max_block_size streams of blocks
+        if gbst.downsample_rate > stack.max_positions:
+            raise ConfigError(
+                f"gbst downsample_rate {gbst.downsample_rate} exceeds max_positions {stack.max_positions}"
+            )
+        if gbst.max_block_size > stack.max_positions * gbst.downsample_rate:
+            raise ConfigError(
+                f"gbst max_block_size {gbst.max_block_size} exceeds max_positions * downsample_rate"
+                f" = {stack.max_positions * gbst.downsample_rate}"
             )
         specs.update(gbst_parameter_specs(gbst))
 
@@ -211,14 +224,6 @@ def _ln(x: Tensor, state: ModelState, prefix: str) -> Tensor:
     return T.layer_norm(x, state[f"{prefix}.gain"], state[f"{prefix}.bias"])
 
 
-def _positions(state: ModelState, table: str, start: int, stop: int) -> Tensor:
-    if stop > state.stack.max_positions:
-        raise ShapeError(
-            f"sequence length {stop} exceeds max_positions {state.stack.max_positions}"
-        )
-    return T.slice_rows(state[table], start, stop)
-
-
 def causal_mask(n: int, cached: int) -> np.ndarray:
     """Additive mask of ``n`` new positions over ``cached`` earlier ones plus
     themselves: position ``cached + r`` sees keys 0..cached + r."""
@@ -226,12 +231,14 @@ def causal_mask(n: int, cached: int) -> np.ndarray:
 
 
 def encode_stack(state: ModelState, x: Tensor) -> Tensor:
-    """Self-attention + FFN stack over an already-embedded sequence.
-    A zero-layer stack reduces to input plus positional embedding."""
-    n = x.shape[0]
-    if n < 1:
+    """Self-attention + FFN stack over an already-embedded sequence, or over
+    the packed rows of several (see ``teacher_forced_pass``): each segment
+    takes positions from 0 and attends within itself, and the output keeps
+    the offsets of ``x``. A zero-layer stack reduces to input plus
+    positional embedding."""
+    if len(x) < 1:
         raise ShapeError("encoder input must be non-empty")
-    x = T.add(x, _positions(state, "pos_enc", 0, n))
+    x = T.add_positions(x, state["pos_enc"])
     for i in range(state.stack.encoder_layers):
         normed = _ln(x, state, f"enc{i}.ln1")
         x = T.add(x, _attention(normed, normed, state, f"enc{i}.attn"))
@@ -257,18 +264,25 @@ def encode_input(state: ModelState, ids: list[int]) -> tuple[Tensor, GbstOutput 
 
 
 def decode_stack(
-    state: ModelState, memory: Tensor, dec_input_ids: list[int], cache: KVCache | None = None
+    state: ModelState, memory: Tensor, dec_input_ids: list[int] | Tensor, cache: KVCache | None = None
 ) -> Tensor:
     """Decoder: causal self-attention, cross-attention to the encoder memory,
     FFN; returns logits over all 256 byte ids for each position of
     ``dec_input_ids``.
 
     Without a cache this is the teacher-forced pass over a whole prefix.
+    ``dec_input_ids`` may then also be the packed, already embedded rows of
+    several prefixes (see ``teacher_forced_pass``) over a ``memory`` packed
+    with as many segments: segment i takes positions from 0, attends
+    causally within itself and to memory segment i, and the logits keep its
+    offsets.
+
     With a ``KVCache`` it is incremental: ``dec_input_ids`` are the next
     positions after the ``cache.length`` already decoded. Their K/V rows
     join the cached self-attention rows, they attend to those and to the
     memory's K/V, projected on the first call, and ``cache.length`` grows by
-    them. A cache needs ``no_grad`` and the same ``memory`` on every call.
+    them. A cache needs ``no_grad``, one segment and the same ``memory`` on
+    every call.
     """
     if not dec_input_ids:
         raise ShapeError("decoder prefix must be non-empty")
@@ -283,9 +297,11 @@ def decode_stack(
         elif cache.memory is not memory:
             raise ConfigError("the K/V cache holds the keys of another encoder memory")
         t = cache.length
-    n = len(dec_input_ids)
-    x = T.embedding_gather(state["embedding"], dec_input_ids)
-    x = T.add(x, _positions(state, "pos_dec", t, t + n))
+    x = dec_input_ids
+    if not isinstance(x, Tensor):
+        x = T.embedding_gather(state["embedding"], x)
+    x = T.add_positions(x, state["pos_dec"], t)
+    n = max(stop - start for start, stop in T.segments(x))
     mask = causal_mask(n, t) if n > 1 else None  # one row sees every key
     for i in range(state.stack.decoder_layers):
         normed = _ln(x, state, f"dec{i}.ln1")
@@ -298,14 +314,39 @@ def decode_stack(
     return T.matmul(x, state["out_proj"])
 
 
+def teacher_forced_pass(
+    state: ModelState, batch: list[SpanCorruptionExample]
+) -> tuple[Tensor, Tensor, list[int]]:
+    """One teacher-forced pass over a batch of examples, packed: returns the
+    encoder memory and the decoder logits, each with a segment per example,
+    and the targets of all examples in order.
+
+    A prelude first runs, example by example, the frontend on the encoder
+    bytes and the embedding gather of the decoder input, BOS and then the
+    target shifted right. ``pack`` stacks the results, so that the encoder
+    and decoder stacks each run once over all rows. The prelude's order
+    keeps the bits of the shared byte embedding's gradient, which the tape
+    then adds decoder last to encoder first, as it would example by example.
+    One example is the unpacked, one-segment case of the same code.
+    """
+    if not batch:
+        raise ShapeError("batch must be non-empty")
+    enc, dec, targets = [], [], []
+    for ex in batch:
+        target = ex.decoder_target.ids
+        if not target:
+            raise ShapeError("target must be non-empty")
+        enc.append(run_frontend(state, ex.encoder_input.ids)[0])
+        dec.append(T.embedding_gather(state["embedding"], [BOS_ID, *target[:-1]]))
+        targets.extend(target)
+    memory = encode_stack(state, T.pack(enc))
+    return memory, decode_stack(state, memory, T.pack(dec)), targets
+
+
 def example_loss(state: ModelState, example: SpanCorruptionExample, reduction: str = "mean") -> Tensor:
     """Teacher-forced cross entropy of the example's decoder target given its
     encoder input: the decoder reads BOS and then the target shifted right."""
-    target = example.decoder_target.ids
-    if not target:
-        raise ShapeError("target must be non-empty")
-    memory, _ = encode_input(state, example.encoder_input.ids)
-    logits = decode_stack(state, memory, [BOS_ID, *target[:-1]])
+    _, logits, target = teacher_forced_pass(state, [example])
     return T.cross_entropy_with_logits(logits, target, reduction=reduction)
 
 

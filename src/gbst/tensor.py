@@ -14,6 +14,21 @@ head-split views of its key and value rows. ``multi_head_attention`` splits
 the same way but copies the views: BLAS may round a product over a strided
 view differently from one over a contiguous copy, and training keeps the
 bits of the per-head op chain.
+
+A packed tensor holds the rows of several examples, stacked: ``pack`` makes
+one, and its ``offsets`` give each segment's first row plus the end (an
+unpacked tensor, ``offsets`` None, is one segment). ``matmul``, ``add``,
+``add_positions``, ``layer_norm``, ``gelu`` and ``multi_head_attention``
+keep the offsets of their row operand, and ``cross_entropy_with_logits``
+reads them. Each op is one record for the whole batch and keeps the bits of
+one record per example: elementwise and row-wise work (adds, ``gelu``,
+``layer_norm``'s rows, the loss's softmax) is one numpy call over all rows,
+which rounds each row as a call over that example alone would; matrix
+products, attention and the loss's sums run segment by segment; and a
+gradient that sums over rows (a weight, a bias, a gain, a table of
+positions) is taken segment by segment and added in reverse segment order,
+the order in which a tape of one record per example adds them. One product
+or column sum over all rows would round otherwise.
 """
 
 from __future__ import annotations
@@ -32,16 +47,20 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class Tensor:
     """A real-valued n-dimensional array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "offsets")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, offsets: tuple[int, ...] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.offsets = offsets
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    def __len__(self) -> int:
+        return len(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -110,12 +129,12 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
-def _record(name: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
+def _record(name: str, out_data: np.ndarray, inputs, backward_fn, offsets=None) -> Tensor:
     _check_finite(out_data, name)
     track = _grad_enabled and any(
         isinstance(t, Tensor) and t.requires_grad for t in inputs
     )
-    out = Tensor(out_data, requires_grad=track)
+    out = Tensor(out_data, requires_grad=track, offsets=offsets)
     if track:
         _tape.records.append((out, backward_fn, name))
     return out
@@ -131,10 +150,32 @@ def _accumulate(t, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
+def segments(x: Tensor) -> list[tuple[int, int]]:
+    """(first row, end) of each segment of ``x``; one for an unpacked tensor."""
+    offsets = x.offsets or (0, len(x.data))
+    return list(zip(offsets, offsets[1:]))
+
+
+def _sum_segments(x: Tensor, term) -> np.ndarray:
+    """``term(rows)`` summed over the row slices of ``x``'s segments, in
+    reverse segment order."""
+    total = None
+    for start, stop in reversed(segments(x)):
+        t = term(slice(start, stop))
+        if total is None:
+            total = t
+        else:
+            total += t
+    return total
+
+
+def _reduce_to(g: np.ndarray, shape: tuple[int, ...], rows: Tensor | None = None) -> np.ndarray:
+    """Sum a broadcast gradient back down to the operand's shape, segment by
+    segment of ``rows``, the packed operand, if one is given."""
     if g.shape == shape:
         return g
+    if rows is not None and rows.offsets is not None:
+        return _sum_segments(rows, lambda r: _reduce_to(g[r], shape))
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, n in enumerate(shape):
@@ -169,34 +210,49 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _segment_products(x: Tensor, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right``, as one product over the rows of each segment of
+    ``x``: BLAS picks its kernel by the row count, and kernels round
+    differently, so one product over all rows can differ from an example's
+    own (a one-row product is even a matrix-vector product)."""
+    if x.offsets is None:
+        return left @ right
+    out = np.empty((len(left), right.shape[1]))
+    for first, stop in segments(x):
+        np.matmul(left[first:stop], right, out=out[first:stop])
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
+    """Matrix product of two 2-D tensors; it keeps the offsets of ``a``, and
+    every product it takes runs segment by segment."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    out = _segment_products(a, a.data, b.data)
 
     def _bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, _segment_products(a, g, b.data.T))
+        _accumulate(b, _sum_segments(a, lambda r: a.data[r].T @ g[r]))
 
-    return _record("matmul", out, (a, b), _bw)
+    return _record("matmul", out, (a, b), _bw, a.offsets)
 
 
 def add(a: Tensor, b: Tensor | float) -> Tensor:
     """Elementwise sum of broadcastable operands (a row vector against a
     matrix, a 0-d tensor against anything). A Python scalar ``b`` becomes the
-    constant ``Tensor(float(b))``, so every call takes the one tensor path."""
+    constant ``Tensor(float(b))``, so every call takes the one tensor path.
+    It keeps the offsets of ``a``."""
     if not isinstance(b, Tensor):
         b = Tensor(float(b))
     out = a.data + b.data
 
     def _bw(g):
-        _accumulate(a, _reduce_to(g, a.data.shape))
-        _accumulate(b, _reduce_to(g, b.data.shape))
+        _accumulate(a, _reduce_to(g, a.data.shape, a))
+        _accumulate(b, _reduce_to(g, b.data.shape, a))
 
-    return _record("add", out, (a, b), _bw)
+    return _record("add", out, (a, b), _bw, a.offsets)
 
 
 def mul(a: Tensor, b: Tensor | float) -> Tensor:
@@ -222,18 +278,42 @@ def sum_all(x: Tensor) -> Tensor:
     return _record("sum_all", np.asarray(out), (x,), _bw)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    n = x.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice_rows [{start}:{stop}] outside 0..{n}")
-    out = x.data[start:stop].copy()
+def pack(parts: list[Tensor]) -> Tensor:
+    """The rows of the 2-D ``parts`` stacked, part i as segment i. One part
+    is returned as it is: an unpacked tensor is one segment."""
+    if not parts or any(p.data.ndim != 2 or len(p) < 1 or p.offsets for p in parts):
+        raise ShapeError("pack needs one or more unpacked 2-D parts with rows")
+    if len(parts) == 1:
+        return parts[0]
+    offsets = (0, *np.cumsum([len(p) for p in parts]).tolist())
+    out = np.concatenate([p.data for p in parts])
 
     def _bw(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        _accumulate(x, full)
+        for p, start, stop in zip(parts, offsets, offsets[1:]):
+            _accumulate(p, g[start:stop])
 
-    return _record("slice_rows", out, (x,), _bw)
+    return _record("pack", out, tuple(parts), _bw, offsets)
+
+
+def add_positions(x: Tensor, table: Tensor, start: int = 0) -> Tensor:
+    """``x`` plus, on each of its segments, rows ``start`` onward of the
+    positional ``table``, one row per row of the segment."""
+    spans = segments(x)
+    end = start + max(stop - first for first, stop in spans)
+    if start < 0 or end > len(table):
+        raise ShapeError(f"sequence length {end} exceeds the {len(table)} rows of the position table")
+    out = np.empty_like(x.data)
+    for first, stop in spans:
+        np.add(x.data[first:stop], table.data[start : start + stop - first], out=out[first:stop])
+
+    def _bw(g):
+        _accumulate(x, g)
+        gt = np.zeros_like(table.data)
+        for first, stop in reversed(spans):
+            gt[start : start + stop - first] += g[first:stop]
+        _accumulate(table, gt)
+
+    return _record("add_positions", out, (x, table), _bw, x.offsets)
 
 
 def mean_pool_1d(x: Tensor, window: int) -> Tensor:
@@ -473,43 +553,61 @@ def multi_head_attention(
     score calibration, softmax(P P^T) P, is the one-head, unit-scale case
     with q = k = v = P.
 
+    Packed operands attend segment by segment: segment i of ``q`` attends to
+    segment i of ``k`` and ``v``, which share their offsets, under the
+    top-left corner of ``mask`` that its rows and keys span; the mask then
+    covers the longest segments. The output keeps ``q``'s offsets.
+
     The forward is ``_attend`` on contiguous copies of the ``_heads`` views:
     the operands of the per-head chain of slice, transpose, matmul, scale,
     mask, softmax and concat ops, which the tests keep as the reference. So
-    this op is bit-identical to that chain, forward and backward. The
-    backward runs head by head and reuses one (n, m) scratch, walked in row
-    blocks, for each head's score gradient in turn.
+    this op is bit-identical to that chain, forward and backward, segment by
+    segment. The backward runs head by head and reuses one (n, m) scratch,
+    walked in row blocks, for each head's score gradient in turn.
     """
-    qh, kt, vh = (a.copy() for a in _heads(q.data, k.data, v.data, heads))
-    (n, width), m, hd = q.shape, k.shape[0], qh.shape[2]
-    if scale is None:
-        scale = 1.0 / math.sqrt(hd)
-    probs, out = _attend(qh, kt, vh, scale, mask)
+    q_spans, kv_spans = segments(q), segments(k)
+    if k.offsets != v.offsets or len(k.data) != len(v.data) or len(q_spans) != len(kv_spans):
+        raise ShapeError("k and v must share their rows and segments, one for each segment of q")
+    longest = tuple(max(stop - start for start, stop in spans) for spans in (q_spans, kv_spans))
+    if mask is not None and np.shape(mask) != longest:
+        raise ShapeError(f"mask must have shape {longest}, got {np.shape(mask)}")
+    saved, outs = [], []  # each segment's head-split operands and probabilities
+    for (q0, q1), (k0, k1) in zip(q_spans, kv_spans):
+        qh, kt, vh = (a.copy() for a in _heads(q.data[q0:q1], k.data[k0:k1], v.data[k0:k1], heads))
+        if scale is None:
+            scale = 1.0 / math.sqrt(qh.shape[2])
+        probs, out = _attend(qh, kt, vh, scale, None if mask is None else mask[: q1 - q0, : k1 - k0])
+        saved.append((qh, kt, vh, probs))
+        outs.append(out)
+    (n, width), m = q.shape, k.shape[0]
+    hd = width // heads
 
     def _bw(g):
-        go = g.reshape(n, heads, hd).transpose(1, 0, 2).copy()
-        gs = np.empty((n, m))  # one head's score gradient at a time
         gq = np.empty((n, heads, hd))
         gk = np.empty((m, heads, hd))
         gv = np.empty((m, heads, hd))
-        step = max(1, BLOCK // m)
-        for i in range(heads):
-            np.matmul(go[i], vh[i].T, out=gs)
-            gv[:, i] = probs[i].T @ go[i]
-            for r in range(0, n, step):
-                s, p = gs[r : r + step], probs[i, r : r + step]
-                s -= (s * p).sum(axis=-1, keepdims=True)
-                s *= p
-                s *= scale
-            gq[:, i] = gs @ kt[i].T
-            gk[:, i] = (qh[i].T @ gs).T
+        for (q0, q1), (k0, k1), (qh, kt, vh, probs) in zip(q_spans, kv_spans, saved):
+            go = g[q0:q1].reshape(q1 - q0, heads, hd).transpose(1, 0, 2).copy()
+            gs = np.empty((q1 - q0, k1 - k0))  # one head's score gradient at a time
+            step = max(1, BLOCK // (k1 - k0))
+            for i in range(heads):
+                np.matmul(go[i], vh[i].T, out=gs)
+                gv[k0:k1, i] = probs[i].T @ go[i]
+                for r in range(0, q1 - q0, step):
+                    s, p = gs[r : r + step], probs[i, r : r + step]
+                    s -= (s * p).sum(axis=-1, keepdims=True)
+                    s *= p
+                    s *= scale
+                gq[q0:q1, i] = gs @ kt[i].T
+                gk[k0:k1, i] = (qh[i].T @ gs).T
         # the chain's order (v, then q, then k's transpose): it keeps the bits
         # of a gradient when q, k and v are one tensor, as in calibration
         _accumulate(v, gv.reshape(m, width))
         _accumulate(q, gq.reshape(n, width))
         _accumulate(k, gk.reshape(m, width))
 
-    return _record("multi_head_attention", out, (q, k, v), _bw)
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    return _record("multi_head_attention", out, (q, k, v), _bw, q.offsets)
 
 
 def cached_attention(
@@ -550,7 +648,7 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance (with 1e-6 added to the
-    variance), then scale and shift."""
+    variance), then scale and shift. It keeps the offsets of ``x``."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the last axis")
@@ -563,18 +661,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = xhat * gain.data + bias.data
 
     def _bw(g):
-        _accumulate(gain, (g * xhat).sum(axis=0))
-        _accumulate(bias, g.sum(axis=0))
+        _accumulate(gain, _sum_segments(x, lambda r: (g[r] * xhat[r]).sum(axis=0)))
+        _accumulate(bias, _sum_segments(x, lambda r: g[r].sum(axis=0)))
         dxhat = g * gain.data
         term = dxhat - dxhat.mean(axis=-1, keepdims=True)
         term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, inv * term)
 
-    return _record("layer_norm", out, (x, gain, bias), _bw)
+    return _record("layer_norm", out, (x, gain, bias), _bw, x.offsets)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit; it keeps the offsets of ``x``."""
     cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
     out = x.data * cdf
 
@@ -582,13 +680,14 @@ def gelu(x: Tensor) -> Tensor:
         pdf = np.exp(-0.5 * x.data * x.data) / _SQRT_2PI
         _accumulate(x, g * (cdf + x.data * pdf))
 
-    return _record("gelu", out, (x,), _bw)
+    return _record("gelu", out, (x,), _bw, x.offsets)
 
 
 def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
     """Token-level cross entropy in nats against integer targets.
 
-    ``reduction`` is "mean" (per-token average) or "sum".
+    ``reduction`` is "mean" (per-token average) or "sum". Packed logits are
+    summed segment by segment, and the sums added in segment order.
     """
     ids = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2:
@@ -605,7 +704,11 @@ def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") 
     norm = e.sum(axis=-1, keepdims=True)
     lse = np.log(norm)[:, 0] + m[:, 0]
     losses = lse - logits.data[np.arange(n), ids]
-    out = losses.mean() if reduction == "mean" else losses.sum()
+    total = None
+    for start, stop in segments(logits):
+        part = losses[start:stop].sum()
+        total = part if total is None else total + part
+    out = total / n if reduction == "mean" else total
 
     def _bw(g):
         p = e / norm

@@ -15,8 +15,8 @@ import numpy as np
 from . import tensor as T
 from .bytes_data import ByteSequence, SpanCorruptionExample, corrupt_spans, format_example
 from .errors import ConfigError, NonFiniteError, ShapeError
-from .model import BOS_ID, ModelState, decode_stack, encode_input, example_loss, greedy_decode
-from .tensor import Parameter, backward, no_grad, reset_tape
+from .model import ModelState, greedy_decode, teacher_forced_pass
+from .tensor import Parameter, Tensor, backward, no_grad, reset_tape
 
 EMA_WINDOW = 100
 
@@ -148,7 +148,14 @@ def make_batch(
 def train_step(
     state: ModelState, batch: list[SpanCorruptionExample], cfg: TrainConfig, opt
 ) -> float:
-    """One optimizer step on the mean per-token cross entropy of the batch."""
+    """One optimizer step on the mean per-token cross entropy of the batch.
+
+    The batch runs as one packed ``teacher_forced_pass``: its encoder and
+    decoder stacks and its loss run once over the rows of every example.
+    The loss adds the examples' cross-entropy sums in batch order and scales
+    the total by 1/tokens; each weight gradient adds its examples' terms in
+    reverse order. So a step has the bits of a tape of one loss per example.
+    """
     if not batch:
         raise ShapeError("batch must be non-empty")
     reset_tape()
@@ -157,13 +164,9 @@ def train_step(
         p.requires_grad = not cfg.freeze_gbst
     lr = learning_rate_at(cfg, state.step + 1)
     try:
-        total = None
-        tokens = 0
-        for ex in batch:
-            ce = example_loss(state, ex, reduction="sum")
-            total = ce if total is None else T.add(total, ce)
-            tokens += len(ex.decoder_target.ids)
-        loss = T.mul(total, 1.0 / tokens)
+        _, logits, targets = teacher_forced_pass(state, batch)
+        total = T.cross_entropy_with_logits(logits, targets, reduction="sum")
+        loss = T.mul(total, 1.0 / len(targets))
         backward(loss)
     except NonFiniteError as err:
         raise TrainingAborted(f"non-finite value during step {state.step + 1}: {err}", batch)
@@ -214,27 +217,24 @@ def dump_batch(batch: list[SpanCorruptionExample], path: str) -> None:
 
 
 def evaluate(state: ModelState, dataset: list[SpanCorruptionExample]) -> dict[str, float]:
-    """Deterministic held-out metrics: teacher-forced nats per target byte and
-    the fraction of examples whose greedy decode matches the target exactly."""
+    """Deterministic held-out metrics: teacher-forced nats per target byte,
+    from one packed pass over the dataset, and the fraction of examples whose
+    greedy decode, example by example, matches the target exactly."""
     if not dataset:
         raise ValueError("evaluate requires a non-empty dataset")
-    total_ce = 0.0
-    total_tokens = 0
     hits = 0
     with no_grad():
-        for ex in dataset:
+        memory, logits, targets = teacher_forced_pass(state, dataset)
+        # the examples' sums, added in order
+        total_ce = float(T.cross_entropy_with_logits(logits, targets, reduction="sum").data)
+        for ex, (start, stop) in zip(dataset, T.segments(memory)):
             tgt = ex.decoder_target.ids
-            memory, _ = encode_input(state, ex.encoder_input.ids)
-            logits = decode_stack(state, memory, [BOS_ID] + list(tgt[:-1]))
-            ce = T.cross_entropy_with_logits(logits, tgt, reduction="sum")
-            total_ce += float(ce.data)
-            total_tokens += len(tgt)
             gen = greedy_decode(
-                state, memory, max_len=len(tgt) + 8, stop_after_spans=ex.span_count
+                state, Tensor(memory.data[start:stop]), max_len=len(tgt) + 8, stop_after_spans=ex.span_count
             )
             if gen.ids == list(tgt):
                 hits += 1
     return {
-        "nats_per_byte": total_ce / total_tokens,
+        "nats_per_byte": total_ce / len(targets),
         "exact_span_match_rate": hits / len(dataset),
     }

@@ -325,6 +325,9 @@ HEADER_DEFECTS = {
     "float_conv_kernel_size": with_field("gbst", "conv_kernel_size", 5.0),
     "fractional_max_block_size": with_field("gbst", "max_block_size", 2.5),
     "float_downsample_rate": with_field("gbst", "downsample_rate", 2.0),
+    # sizes no parameter shape bounds; a forward pass would list 2**40 streams
+    "huge_max_block_size": with_field("gbst", "max_block_size", 2**40),
+    "huge_downsample_rate": with_field("gbst", "downsample_rate", 2**40),
     # a step that is not a non-negative int
     "fractional_step": with_step(2.5),
     "bool_step": with_step(True),
@@ -343,6 +346,19 @@ def test_checkpoint_header_defects_are_config_errors(tmp_path, capsys, defect):
     argv = ["score-viz", "--checkpoint", str(bad), "--text", "hi", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "bad.gbst" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_block_size", 17), ("max_block_size", 2**40), ("downsample_rate", 9), ("downsample_rate", 2**40)],
+)
+def test_gbst_sizes_beyond_every_input_are_config_errors(key, value):
+    # max_positions 8 at downsample rate 2 takes at most 16 bytes
+    stack = StackConfig(max_positions=8)
+    for fits in ({"max_block_size": 16}, {"downsample_rate": 8, "max_block_size": 4}):
+        ModelState(stack, GbstConfig(embedding_dim=stack.d_model, **fits))
+    with pytest.raises(ConfigError, match=key):
+        ModelState(stack, GbstConfig(embedding_dim=stack.d_model, **{key: value}))
 
 
 # every numeric field of a desk checkpoint's header

@@ -602,16 +602,19 @@ def test_mul_column_broadcast_gradient():
     check_op_grad(lambda: T.sum_all(T.mul(x, c)), [x, c])
 
 
-def test_pad_slice_roundtrip_and_grads():
+def test_add_positions_rows_and_grads():
+    # each segment adds the table's rows from ``start`` on
     rng = np.random.default_rng(10)
-    x = Parameter("x", rng.normal(size=(4, 2)))
-    padded = Tensor(np.pad(x.data, ((1, 2), (0, 0))))
-    assert padded.shape == (7, 2)
-    npt.assert_array_equal(padded.data[0], 0.0)
-    back = T.slice_rows(padded, 1, 5)
-    npt.assert_array_equal(back.data, x.data)
-    w = Tensor(rng.normal(size=(2, 2)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.slice_rows(x, 1, 3), w)), [x])
+    parts = [Parameter(f"x{i}", rng.normal(size=(n, 2))) for i, n in enumerate((2, 3))]
+    table = Parameter("table", rng.normal(size=(5, 2)))
+    out = T.add_positions(T.pack(parts), table, 1)
+    assert out.offsets == (0, 2, 5)
+    npt.assert_array_equal(out.data[:2], parts[0].data + table.data[1:3])
+    npt.assert_array_equal(out.data[2:], parts[1].data + table.data[1:4])
+    with pytest.raises(ShapeError):
+        T.add_positions(parts[1], table, 3)
+    w = Tensor(rng.normal(size=(5, 2)))
+    check_op_grad(lambda: T.sum_all(T.mul(T.add_positions(T.pack(parts), table, 1), w)), [*parts, table])
 
 
 def test_slice_cols_and_concat_inverse():
