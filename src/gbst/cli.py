@@ -166,7 +166,7 @@ def cmd_profile(args) -> int:
             10,
             min(seq_len, 128),
         )
-    print(f"{'frontend':>10} {'d_s':>4} {'params':>10} {'flops':>14} {'steps/s':>9}")
+    print(f"{'frontend':>10} {'d_s':>4} {'params':>10} {'flops':>14} {'steps/s':>9} {'peak MB':>8}")
     for frontend, rate in rows:
         row_cfg = dataclasses.replace(
             cfg,
@@ -175,13 +175,14 @@ def cmd_profile(args) -> int:
         )
         stack, gbst = row_cfg.stack_config(), row_cfg.gbst_config()
         report = count_flops(stack, gbst, seq_len)
-        speed = ""
+        speed = peak = ""
         if not args.no_bench:
             state = ModelState(stack, gbst, seed=cfg.seed)
             bench = benchmark_steps(state, row_cfg.train_config(), args.bench_steps, seq_len)
             speed = f"{bench.steps_per_second:9.3f}"
+            peak = f"{bench.peak_alloc_bytes / 1e6:8.2f}"  # tracemalloc peak of one step
         print(f"{frontend:>10} {rate if rate is not None else '-':>4} "
-              f"{report.params:>10} {report.flops_forward:>14} {speed:>9}")
+              f"{report.params:>10} {report.flops_forward:>14} {speed:>9} {peak:>8}")
         sys.stdout.write(report.machine_lines())
     return 0
 

@@ -4,7 +4,10 @@ Every forward op computes eagerly on numpy arrays and, when gradients are
 enabled, appends a backward rule to the module-level tape. ``backward()``
 replays the tape in reverse execution order, which is always a valid
 topological order of the computation graph, and accumulates gradients into
-every tensor that requires them. A ``Parameter`` is a named tensor; freezing
+every tensor that requires them. It consumes the tape: once a record's rule
+has run, the record keeps only its op name, so the arrays the rule saved and
+every intermediate tensor nobody else holds, its gradient included, are freed
+while backward walks on. A ``Parameter`` is a named tensor; freezing
 one is ``requires_grad = False``, after which it gets no gradient, and an op
 none of whose inputs requires a gradient records nothing. All storage is
 float64 and row-major; ops copy rather than alias, and every forward result
@@ -81,12 +84,16 @@ class Parameter(Tensor):
 
 
 class Tape:
-    """Ordered record of executed ops: (output, backward rule, op name)."""
+    """Ordered record of executed ops: (output, backward rule, op name).
+
+    ``backward`` turns each record into the tombstone (None, None, op name)
+    once its rule has run, so after backward the tape keeps its length and
+    names and holds no array."""
 
     __slots__ = ("records", "consumed")
 
     def __init__(self):
-        self.records: list[tuple[Tensor, object, str]] = []
+        self.records: list[tuple[Tensor | None, object, str]] = []
         self.consumed = False
 
     def __len__(self) -> int:
@@ -188,7 +195,9 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of everything reachable from a scalar loss.
 
     The tape may be consumed exactly once; run ``reset_tape()`` before the
-    next forward/backward cycle.
+    next forward/backward cycle. Each record is released as soon as its rule
+    has run (see ``Tape``): a tensor the caller still holds keeps its
+    ``grad``, and the rest of the graph is freed on the way back.
     """
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         raise ShapeError("backward requires a scalar (shape ()) Tensor loss")
@@ -200,7 +209,10 @@ def backward(loss: Tensor) -> None:
         raise TapeError("loss is not connected to the tape")
     _tape.consumed = True
     loss.grad = np.ones((), dtype=np.float64)
-    for out, fn, _ in reversed(_tape.records):
+    records = _tape.records
+    for i in range(len(records) - 1, -1, -1):
+        out, fn, name = records[i]
+        records[i] = (None, None, name)
         if out.grad is not None:
             fn(out.grad)
 

@@ -87,8 +87,10 @@ class Adam:
         for p in params:
             if p.grad is None:
                 continue
-            m = self.m.setdefault(p.name, np.zeros_like(p.data))
-            v = self.v.setdefault(p.name, np.zeros_like(p.data))
+            if p.name not in self.m:  # the moments are allocated on first use only
+                self.m[p.name] = np.zeros_like(p.data)
+                self.v[p.name] = np.zeros_like(p.data)
+            m, v = self.m[p.name], self.v[p.name]
             m += (1.0 - self.beta1) * (p.grad - m)
             v += (1.0 - self.beta2) * (p.grad * p.grad - v)
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -307,6 +307,16 @@ def test_profile_analytic_grid(tmp_path, capsys):
     assert totals[1] > totals[2] > totals[3] > totals[4]  # gbst rows decrease in d_s
 
 
+def test_profile_bench_prints_peak_memory(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY)
+    assert main(["profile", "--config", cfg, "--bench-steps", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-3:] == ["steps/s", "peak", "MB"]
+    rows = [line.split() for line in lines[1:] if "\t" not in line]
+    assert len(rows) == 5  # identity + four downsampling rates
+    assert all(float(row[-1]) > 0 and float(row[-2]) > 0 for row in rows)  # peak MB, steps/s
+
+
 def test_oracle_test_cli(capsys):
     assert main(["oracle-test", "--instances", "40", "--seed", "3"]) == 0
     assert "failures=0" in capsys.readouterr().out

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from gbst import tensor as T
 from gbst.errors import ConfigError, NonFiniteError, ShapeError, TapeError
@@ -531,8 +533,43 @@ def test_backward_twice_raises():
     reset_tape()
     loss = T.sum_all(p)
     backward(loss)
+    # only tombstones are left: the record's output and rule are released
+    assert T.active_tape().records == [(None, None, "sum_all")]
     with pytest.raises(TapeError):
         backward(loss)
+
+
+def small_graph():
+    """p -> h = p @ w (held by the caller) -> gelu(h) (not held) -> loss.
+    A Tensor has slots and takes no weak reference, so gelu(h) is watched
+    through its data array, which lives exactly as long as it does."""
+    rng = np.random.default_rng(21)
+    p = Parameter("p", rng.normal(size=(4, 3)))
+    h = T.matmul(p, Tensor(rng.normal(size=(3, 5))))
+    g = T.gelu(h)
+    return p, h, weakref.ref(g.data), T.sum_all(g)
+
+
+def test_backward_frees_an_intermediate_nobody_holds():
+    _, _, g_data, loss = small_graph()
+    assert g_data() is not None  # the tape holds it until backward
+    backward(loss)
+    assert g_data() is None
+
+
+def test_backward_keeps_the_grad_of_a_held_intermediate():
+    _, h, _, loss = small_graph()
+    backward(loss)
+    x = h.data
+    expected = 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    npt.assert_allclose(h.grad, expected, rtol=1e-12)
+
+
+def test_backward_keeps_the_tape_length_and_names():
+    *_, loss = small_graph()
+    names = [name for _, _, name in T.active_tape().records]
+    backward(loss)
+    assert [name for _, _, name in T.active_tape().records] == names == ["matmul", "gelu", "sum_all"]
 
 
 def test_backward_empty_tape_raises():

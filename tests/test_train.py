@@ -1,14 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gbst import tensor as T
 from gbst.bytes_data import ByteSequence, corrupt_spans, encode, load_corpus
 from gbst.cli import bundled_corpus_path
 from gbst.errors import ConfigError, ShapeError
-from gbst.model import ModelState, StackConfig
+from gbst.model import ModelState, StackConfig, teacher_forced_pass
 from gbst.subword import GbstConfig
-from gbst.tensor import reset_tape
+from gbst.tensor import backward, reset_tape
 from gbst.train import (
     EMA_WINDOW,
     Adam,
@@ -198,3 +200,33 @@ def test_evaluate_exact_match_after_tiny_overfit():
         if train_step(state, [ex], cfg, opt) < 0.005:
             break
     assert evaluate(state, [ex])["exact_span_match_rate"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "stack, gbst, batch_size, window",
+    [
+        (StackConfig(), GbstConfig(embedding_dim=64), 2, 64),
+        (StackConfig(frontend="identity"), None, 1, 256),
+    ],
+    ids=["desk", "identity_256"],
+)
+def test_backward_memory_stays_within_the_forward(stack, gbst, batch_size, window):
+    # backward frees each record once its rule has run, so its peak is about
+    # the forward's activations, and it leaves little more than the gradients
+    state = ModelState(stack, gbst, seed=0)
+    docs = [ByteSequence([i for doc in small_docs() for i in doc.ids])]
+    batch = make_batch(docs, TrainConfig(batch_size=batch_size, window_len=window), np.random.default_rng(0))
+    grads = sum(p.data.nbytes for p in state.parameters())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, logits, targets = teacher_forced_pass(state, batch)  # as train_step holds them
+        loss = T.mul(T.cross_entropy_with_logits(logits, targets, reduction="sum"), 1.0 / len(targets))
+        forward = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(loss)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * forward
+    assert held <= grads + 0.1 * forward
