@@ -16,7 +16,10 @@ is checked for NaN/Inf. The one exception to the copying is
 head-split views of its key and value rows. ``multi_head_attention`` splits
 the same way but copies the views: BLAS may round a product over a strided
 view differently from one over a contiguous copy, and training keeps the
-bits of the per-head op chain.
+bits of the per-head op chain. A record saves the arrays its rule reads,
+with one exception that trades time for memory: attention saves those
+head-split copies, but not its (heads, n, m) probabilities, which its
+backward recomputes one head group at a time, bit for bit.
 
 A packed tensor holds the rows of several examples, stacked: ``pack`` makes
 one, and its ``offsets`` give each segment's first row plus the end (an
@@ -493,7 +496,10 @@ def softmax_last_axis(x: Tensor) -> Tensor:
     return _record("softmax_last_axis", y, (x,), _bw)
 
 
-# elements of float64 the attention softmax touches per pass: 2**16 * 8 B = 512 KB
+# elements of float64 that attention holds at a time, 2**16 * 8 B = 512 KB:
+# a head group's scores hold at most this many, or one head's if those hold
+# more, and each softmax pass walks row blocks of about this many, which
+# stay in L2
 BLOCK = 1 << 16
 
 
@@ -518,16 +524,56 @@ def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     )
 
 
-def _attend(qh, kt, vh, scale, mask):
-    """The forward of both attention ops, over the operands ``_heads``
-    splits. Returns the (h, n, m) probabilities and the (n, h*hd) head
-    outputs side by side.
+def _group(heads: int, n: int, m: int) -> int:
+    """Heads per group for (n, m) scores: as many as keep a group's (g, n, m)
+    scores within ``BLOCK`` elements, and at least one."""
+    return max(1, min(heads, BLOCK // (n * m)))
 
-    Each product is one ``np.matmul`` batched over heads, which numpy runs as
-    one BLAS call per head, with the bits of a 2-D matmul per head. The
-    softmax runs in place in row blocks of about ``BLOCK`` elements, which
-    stay in L2 across its passes. The matmuls stay whole: a product over a
-    block of rows could round differently, by the BLAS kernel chosen.
+
+def _probs(qh, kt, scale, mask, stats=None, saved=False, out=None):
+    """The (g, n, m) probabilities of a group of heads: the scores, one
+    ``np.matmul`` batched over the group, then scaled, masked and softmaxed
+    in place in row blocks of about ``BLOCK`` elements. The product stays
+    whole: one over a block of rows could round differently, by the BLAS
+    kernel chosen.
+
+    ``stats`` is an optional (2, g, n, 1) array that takes each row's max
+    and sum of exponentials, or, when ``saved``, gives them: a recompute
+    then skips those two reductions and divides by the same numbers, bit for
+    bit. ``out`` is an optional (g, n, m) buffer to compute in.
+    """
+    p = np.matmul(qh, kt, out=out)
+    step = max(1, BLOCK // (p.shape[0] * p.shape[2]))
+    for r in range(0, p.shape[1], step):
+        s = p[:, r : r + step]
+        s *= scale
+        if mask is not None:
+            s += mask[r : r + step]
+        if saved:
+            top, total = stats[:, :, r : r + step]
+        else:
+            top = s.max(axis=-1, keepdims=True)
+        s -= top
+        np.exp(s, out=s)
+        if not saved:
+            total = s.sum(axis=-1, keepdims=True)
+            if stats is not None:
+                stats[:, :, r : r + step] = top, total
+        s /= total
+    return p
+
+
+def _attend(qh, kt, vh, scale, mask, stats=None):
+    """The forward of both attention ops, over the operands ``_heads``
+    splits. Returns the (n, h*hd) head outputs side by side and keeps no
+    probabilities; ``stats``, an optional (2, h, n, 1) array, takes each
+    row's max and sum of exponentials (see ``_probs``).
+
+    It walks the heads in groups of ``_group`` heads, so it holds one
+    group's probabilities at a time. Each product is one ``np.matmul``
+    batched over a group, which numpy runs as one BLAS call per head, with
+    the bits of a 2-D matmul per head. A decode step or a desk-sized
+    segment is one group, and runs on the whole operands.
     """
     heads, n, hd = qh.shape
     m = kt.shape[2]
@@ -535,17 +581,16 @@ def _attend(qh, kt, vh, scale, mask):
         raise ShapeError("attention needs at least one key row")
     if mask is not None and np.shape(mask) != (n, m):
         raise ShapeError(f"mask must have shape ({n}, {m}), got {np.shape(mask)}")
-    probs = np.matmul(qh, kt)
-    step = max(1, BLOCK // (heads * m))
-    for r in range(0, n, step):
-        p = probs[:, r : r + step]
-        p *= scale
-        if mask is not None:
-            p += mask[r : r + step]
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-    return probs, np.matmul(probs, vh).transpose(1, 0, 2).reshape(n, heads * hd)
+    if heads * n * m <= BLOCK:  # one group, as _group gives, on the whole operands
+        out = np.matmul(_probs(qh, kt, scale, mask, stats), vh)
+    else:
+        g = _group(heads, n, m)
+        out = np.empty((heads, n, hd))
+        for h in range(0, heads, g):
+            hs = slice(h, h + g)
+            part = None if stats is None else stats[:, hs]
+            np.matmul(_probs(qh[hs], kt[hs], scale, mask, part), vh[hs], out=out[hs])
+    return out.transpose(1, 0, 2).reshape(n, heads * hd)
 
 
 def multi_head_attention(
@@ -574,8 +619,14 @@ def multi_head_attention(
     the operands of the per-head chain of slice, transpose, matmul, scale,
     mask, softmax and concat ops, which the tests keep as the reference. So
     this op is bit-identical to that chain, forward and backward, segment by
-    segment. The backward runs head by head and reuses one (n, m) scratch,
-    walked in row blocks, for each head's score gradient in turn.
+    segment. The record saves those copies, each segment's mask and each
+    row's max and sum of exponentials (2·h·n floats), and no probabilities.
+    The backward walks the forward's head groups: it recomputes each
+    group's probabilities with ``_probs``, then runs each of the four
+    products as one ``np.matmul`` over the group and the softmax backward in
+    row blocks. One (probabilities, score gradient) scratch pair serves
+    every group of every segment, so the backward holds two groups' (g, n,
+    m) buffers, never all heads' probabilities.
     """
     q_spans, kv_spans = segments(q), segments(k)
     if k.offsets != v.offsets or len(k.data) != len(v.data) or len(q_spans) != len(kv_spans):
@@ -583,14 +634,15 @@ def multi_head_attention(
     longest = tuple(max(stop - start for start, stop in spans) for spans in (q_spans, kv_spans))
     if mask is not None and np.shape(mask) != longest:
         raise ShapeError(f"mask must have shape {longest}, got {np.shape(mask)}")
-    saved, outs = [], []  # each segment's head-split operands and probabilities
+    saved, outs = [], []  # each segment's head-split operands, mask and row stats
     for (q0, q1), (k0, k1) in zip(q_spans, kv_spans):
         qh, kt, vh = (a.copy() for a in _heads(q.data[q0:q1], k.data[k0:k1], v.data[k0:k1], heads))
         if scale is None:
             scale = 1.0 / math.sqrt(qh.shape[2])
-        probs, out = _attend(qh, kt, vh, scale, None if mask is None else mask[: q1 - q0, : k1 - k0])
-        saved.append((qh, kt, vh, probs))
-        outs.append(out)
+        seg_mask = None if mask is None else mask[: q1 - q0, : k1 - k0]
+        stats = np.empty((2, heads, q1 - q0, 1))
+        outs.append(_attend(qh, kt, vh, scale, seg_mask, stats))
+        saved.append((qh, kt, vh, seg_mask, stats))
     (n, width), m = q.shape, k.shape[0]
     hd = width // heads
 
@@ -598,20 +650,29 @@ def multi_head_attention(
         gq = np.empty((n, heads, hd))
         gk = np.empty((m, heads, hd))
         gv = np.empty((m, heads, hd))
-        for (q0, q1), (k0, k1), (qh, kt, vh, probs) in zip(q_spans, kv_spans, saved):
-            go = g[q0:q1].reshape(q1 - q0, heads, hd).transpose(1, 0, 2).copy()
-            gs = np.empty((q1 - q0, k1 - k0))  # one head's score gradient at a time
-            step = max(1, BLOCK // (k1 - k0))
-            for i in range(heads):
-                np.matmul(go[i], vh[i].T, out=gs)
-                gv[k0:k1, i] = probs[i].T @ go[i]
-                for r in range(0, q1 - q0, step):
-                    s, p = gs[r : r + step], probs[i, r : r + step]
-                    s -= (s * p).sum(axis=-1, keepdims=True)
-                    s *= p
-                    s *= scale
-                gq[q0:q1, i] = gs @ kt[i].T
-                gk[k0:k1, i] = (qh[i].T @ gs).T
+        shapes = [(q1 - q0, k1 - k0) for (q0, q1), (k0, k1) in zip(q_spans, kv_spans)]
+        scratch = np.empty((2, max(_group(heads, r, c) * r * c for r, c in shapes)))
+        for (q0, q1), (k0, k1), (rows, keys), (qh, kt, vh, seg_mask, stats) in zip(
+            q_spans, kv_spans, shapes, saved
+        ):
+            go = g[q0:q1].reshape(rows, heads, hd).transpose(1, 0, 2).copy()
+            per = _group(heads, rows, keys)
+            for h in range(0, heads, per):
+                hs = slice(h, min(h + per, heads))
+                count = hs.stop - h
+                # the group's probabilities and score gradient, in the scratch
+                p, s = scratch[:, : count * rows * keys].reshape(2, count, rows, keys)
+                _probs(qh[hs], kt[hs], scale, seg_mask, stats[:, hs], saved=True, out=p)
+                np.matmul(go[hs], vh[hs].transpose(0, 2, 1), out=s)
+                gv[k0:k1, hs] = np.matmul(p.transpose(0, 2, 1), go[hs]).transpose(1, 0, 2)
+                step = max(1, BLOCK // (count * keys))
+                for r in range(0, rows, step):
+                    sb, pb = s[:, r : r + step], p[:, r : r + step]
+                    sb -= (sb * pb).sum(axis=-1, keepdims=True)
+                    sb *= pb
+                    sb *= scale
+                gq[q0:q1, hs] = np.matmul(s, kt[hs].transpose(0, 2, 1)).transpose(1, 0, 2)
+                gk[k0:k1, hs] = np.matmul(qh[hs].transpose(0, 2, 1), s).transpose(2, 0, 1)
         # the chain's order (v, then q, then k's transpose): it keeps the bits
         # of a gradient when q, k and v are one tensor, as in calibration
         _accumulate(v, gv.reshape(m, width))
@@ -631,12 +692,13 @@ def cached_attention(
     on. It runs ``_attend`` on the ``_heads`` views without copying them, so
     it matches ``multi_head_attention`` to 1e-10, not bit for bit: BLAS may
     round a product over a strided view differently from one over a
-    contiguous copy.
+    contiguous copy. It keeps no row statistics, and a decode step's scores
+    fit in one head group, so it runs the products over all heads at once.
     """
     if _grad_enabled:
         raise TapeError("cached_attention records no gradient; call it under no_grad()")
     qh, kt, vh = _heads(q.data, k, v, heads)
-    _, out = _attend(qh, kt, vh, 1.0 / math.sqrt(qh.shape[2]), mask)
+    out = _attend(qh, kt, vh, 1.0 / math.sqrt(qh.shape[2]), mask)
     return _record("cached_attention", out, (q,), None)
 
 

@@ -166,9 +166,9 @@ def train_step(
         p.requires_grad = not cfg.freeze_gbst
     lr = learning_rate_at(cfg, state.step + 1)
     try:
-        _, logits, targets = teacher_forced_pass(state, batch)
-        total = T.cross_entropy_with_logits(logits, targets, reduction="sum")
-        loss = T.mul(total, 1.0 / len(targets))
+        logits, targets = teacher_forced_pass(state, batch)[1:]
+        loss = T.mul(T.cross_entropy_with_logits(logits, targets, reduction="sum"), 1.0 / len(targets))
+        del logits  # held by the tape alone, it and its gradient go once their rules have run
         backward(loss)
     except NonFiniteError as err:
         raise TrainingAborted(f"non-finite value during step {state.step + 1}: {err}", batch)

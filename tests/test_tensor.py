@@ -374,6 +374,8 @@ def random_mask(rng, n, m):
 @example(n=5000, m=1, heads=1, masked=False, seed=5)
 @example(n=5000, m=40, heads=1, masked=True, seed=6)
 @example(n=1, m=299, heads=4, masked=True, seed=7)  # one decoded byte
+@example(n=147, m=147, heads=4, masked=True, seed=8)  # head groups of 3 and 1
+@example(n=1, m=512, heads=4, masked=False, seed=9)  # a decode step, one group
 def test_attention_bit_identical_to_unfused_chain(n, m, heads, masked, seed):
     rng = np.random.default_rng(seed)
     width = heads * 16
@@ -407,6 +409,24 @@ def test_attention_backward_peak_below_one_probability_buffer():
     finally:
         tracemalloc.stop()
     assert peak < heads * n * m * 8
+
+
+def test_attention_forward_keeps_no_probabilities():
+    # the record saves the head-split operands, and the forward holds one
+    # head group's probabilities at a time, so what it keeps is far below
+    # one head's (n, m) buffer
+    n = m = 512
+    heads = 4
+    rng = np.random.default_rng(18)
+    q, k, v = (Tensor(rng.normal(size=(r, heads * 16)), requires_grad=True) for r in (n, m, m))
+    tracemalloc.start()
+    try:
+        out = T.multi_head_attention(q, k, v, heads)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < n * m * 8
 
 
 @pytest.mark.parametrize("masked", [False, True])
