@@ -1,4 +1,8 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import asdict
@@ -152,6 +156,37 @@ def test_cached_decode_step_does_not_copy_the_memory_keys():
         finally:
             tracemalloc.stop()
     assert peak < rows * width * 8
+
+
+FAULTS_PER_PASS = """
+import resource, sys
+from gbst.model import ModelState, StackConfig, encode_input
+from gbst.subword import GbstConfig
+from gbst.tensor import no_grad
+stack = StackConfig()
+state = ModelState(stack, GbstConfig(embedding_dim=stack.d_model), seed=0)
+ids = [32 + i % 95 for i in range(512)]
+with no_grad():
+    for _ in range(3):
+        encode_input(state, ids)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        encode_input(state, ids)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc's mallopt")
+def test_repeated_encoder_pass_faults_in_no_fresh_pages():
+    # a pass frees arrays of up to 1 MB; the next one must reuse their pages,
+    # where glibc's default thresholds fault in about 380 fresh ones per pass.
+    # A fresh interpreter, since the thresholds depend on all earlier frees
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_PASS], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert float(proc.stdout) < 10
 
 
 def test_greedy_decode_max_positions_limit_unchanged():
