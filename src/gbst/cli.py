@@ -17,7 +17,7 @@ import numpy as np
 from .bytes_data import encode, load_corpus
 from .config import RunConfig, format_config, load_config, resolve_for, with_model
 from .errors import ConfigError, ShapeError
-from .flops import benchmark_steps, count_flops
+from .flops import benchmark_steps, check_bench_steps, count_flops
 from .gradcheck import DEFAULT_TOLERANCE, REQUIRED_GROUPS, run_suite
 from .model import ModelState, load_checkpoint, run_frontend, save_checkpoint
 from .reference import run_oracle_suite
@@ -158,6 +158,7 @@ def cmd_profile(args) -> int:
     seq_len = cfg.window_len
     rows = [("identity", None)] + [("gbst", rate) for rate in (1, 2, 3, 4)]
     if not args.no_bench:
+        check_bench_steps(args.bench_steps)  # before the warm-up runs
         # prime allocator/BLAS so the first grid row is not penalized
         warm = dataclasses.replace(cfg, frontend="gbst", batch_size=1)
         benchmark_steps(

@@ -94,6 +94,12 @@ def count_flops(
     return CostReport(params=params, flops_forward=total, breakdown=bd)
 
 
+def check_bench_steps(n_steps: int) -> None:
+    """Refuse a timed step count too small for a stable median."""
+    if n_steps < 10:
+        raise ConfigError(f"benchmark needs n_steps >= 10, got {n_steps}")
+
+
 def benchmark_steps(
     state: ModelState,
     cfg: TrainConfig,
@@ -105,8 +111,7 @@ def benchmark_steps(
     from one extra step traced separately so tracing never skews the timing.
     Needs exclusive CPU access for stable numbers.
     """
-    if n_steps < 10:
-        raise ConfigError(f"benchmark needs n_steps >= 10, got {n_steps}")
+    check_bench_steps(n_steps)
     L = seq_len if seq_len is not None else cfg.window_len
     cfg_local = TrainConfig(**{**cfg.__dict__, "window_len": L, "steps": 0})
     rng = np.random.default_rng(1234)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .subword import GbstConfig
 
 
@@ -158,6 +159,8 @@ def run_oracle_suite(
 
     Returns (worst absolute difference, number of failing instances).
     """
+    if n_instances < 1:  # zero instances would pass having compared nothing
+        raise ConfigError(f"the oracle suite needs at least one instance, got {n_instances}")
     from .subword import gbst_forward
     from .tensor import Parameter, Tensor, no_grad
 

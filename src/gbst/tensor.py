@@ -4,22 +4,39 @@ Every forward op computes eagerly on numpy arrays and, when gradients are
 enabled, appends a backward rule to the module-level tape. ``backward()``
 replays the tape in reverse execution order, which is always a valid
 topological order of the computation graph, and accumulates gradients into
-every tensor that requires them. It consumes the tape: once a record's rule
-has run, the record keeps only its op name, so the arrays the rule saved and
-every intermediate tensor nobody else holds, its gradient included, are freed
-while backward walks on. A ``Parameter`` is a named tensor; freezing
-one is ``requires_grad = False``, after which it gets no gradient, and an op
-none of whose inputs requires a gradient records nothing. All storage is
-float64 and row-major; ops copy rather than alias, and every forward result
-is checked for NaN/Inf. The one exception to the copying is
-``cached_attention``, the no-tape op of incremental decoding, which runs on
-head-split views of its key and value rows. ``multi_head_attention`` splits
-the same way but copies the views: BLAS may round a product over a strided
-view differently from one over a contiguous copy, and training keeps the
-bits of the per-head op chain. A record saves the arrays its rule reads,
-with one exception that trades time for memory: attention saves those
-head-split copies, but not its (heads, n, m) probabilities, which its
-backward recomputes one head group at a time, bit for bit.
+every tensor that requires them.
+
+A tensor that requires a gradient keeps it in a ``GradSlot``, its ``grad``
+and ``requires_grad``; an op output gets one only when it is recorded. A
+record holds its output's slot, not the output, and a rule captures only
+the slots of its inputs and the arrays it reads: ``matmul``, ``mul``,
+``gelu``, ``block_scores`` and ``block_mix`` read their operands;
+``softmax_last_axis`` its output, ``layer_norm`` its normalized rows,
+``conv1d_same`` its padded copy of the input, attention its head-split
+copies and the loss its exponentials; ``add``, ``add_positions``,
+``sum_all``, ``pack``, ``mean_pool_1d``, ``block_means`` and
+``embedding_gather`` read only shapes, offsets and ids. So an op output's
+array lives while a rule reads it or a caller holds it: a projection that
+attention copies, or a residual sum that only ``layer_norm`` and the next
+add take, dies during the forward. A rule binds what it keeps of its inputs
+as default arguments, so its signature names all of it; binding them makes
+no closure cells, which every untaped op of greedy decoding would pay for.
+
+``backward`` consumes the tape: once a record's rule has run, the record
+keeps only its op name, so the arrays the rule read and every gradient
+nobody else holds are freed while backward walks on. A ``Parameter`` is a
+named tensor; freezing one is ``requires_grad = False``, after which it
+gets no gradient, and an op none of whose inputs requires a gradient
+records nothing. All storage is float64 and row-major; ops copy rather than
+alias, and every forward result is checked for NaN/Inf. The one exception
+to the copying is ``cached_attention``, the no-tape op of incremental
+decoding, which runs on head-split views of its key and value rows.
+``multi_head_attention`` splits the same way but copies the views: BLAS may
+round a product over a strided view differently from one over a contiguous
+copy, and training keeps the bits of the per-head op chain. Its record
+saves those head-split copies, but not its (heads, n, m) probabilities,
+which its backward recomputes one head group at a time, bit for bit: the
+one place that trades time for memory.
 
 A packed tensor holds the rows of several examples, stacked: ``pack`` makes
 one, and its ``offsets`` give each segment's first row plus the end (an
@@ -73,16 +90,49 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-class Tensor:
-    """A real-valued n-dimensional array with an optional gradient slot."""
+class GradSlot:
+    """The gradient half of a tensor: its ``grad`` and ``requires_grad``. A
+    tape record holds its output's slot and a backward rule the slots of its
+    inputs, never their tensors, so neither keeps a data array alive."""
 
-    __slots__ = ("data", "requires_grad", "grad", "offsets")
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool = True):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+
+
+class Tensor:
+    """A real-valued n-dimensional array. One that requires a gradient has a
+    ``GradSlot`` that holds it; any other, such as an op output that is not
+    recorded, has none (``slot`` is None) and reads as ``grad`` None."""
+
+    __slots__ = ("data", "slot", "offsets")
 
     def __init__(self, data, requires_grad: bool = False, offsets: tuple[int, ...] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self.slot = GradSlot() if requires_grad else None
         self.offsets = offsets
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot is not None and self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if self.slot is None:
+            self.slot = GradSlot(False)
+        self.slot.requires_grad = bool(value)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self.slot is None:
+            self.slot = GradSlot(False)
+        self.slot.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,7 +160,9 @@ class Parameter(Tensor):
 
 
 class Tape:
-    """Ordered record of executed ops: (output, backward rule, op name).
+    """Ordered record of executed ops: (output's ``GradSlot``, backward rule,
+    op name). A record holds no tensor, so an output's array lives only
+    while a rule reads it or a caller holds it.
 
     ``backward`` turns each record into the tombstone (None, None, op name)
     once its rule has run, so after backward the tape keeps its length and
@@ -119,7 +171,7 @@ class Tape:
     __slots__ = ("records", "consumed")
 
     def __init__(self):
-        self.records: list[tuple[Tensor | None, object, str]] = []
+        self.records: list[tuple[GradSlot | None, object, str]] = []
         self.consumed = False
 
     def __len__(self) -> int:
@@ -163,37 +215,47 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 def _record(name: str, out_data: np.ndarray, inputs, backward_fn, offsets=None) -> Tensor:
+    """The output tensor of an op; when an input requires a gradient (and
+    gradients are enabled), it gets a ``GradSlot``, which the tape records
+    with the rule. An output that is not recorded gets no slot."""
     _check_finite(out_data, name)
-    track = _grad_enabled and any(
-        isinstance(t, Tensor) and t.requires_grad for t in inputs
-    )
-    out = Tensor(out_data, requires_grad=track, offsets=offsets)
-    if track:
-        _tape.records.append((out, backward_fn, name))
+    out = Tensor(out_data, offsets=offsets)
+    if _grad_enabled and any(t.requires_grad for t in inputs):
+        out.slot = GradSlot()
+        _tape.records.append((out.slot, backward_fn, name))
     return out
 
 
-def _accumulate(t, g: np.ndarray) -> None:
-    if not (isinstance(t, Tensor) and t.requires_grad):
+def _accumulate(slot, g: np.ndarray) -> None:
+    """Add ``g`` to the gradient of ``slot`` (a ``GradSlot``, a tensor or
+    None) if it requires one."""
+    if slot is None or not slot.requires_grad:
         return
-    if t.grad is None:
-        # the bits of zeros + g, -0.0 turned to +0.0 included, without the zero fill
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    if slot.grad is None:
+        # the bits of zeros + g, -0.0 turned to +0.0 included, without the zero
+        # fill; row-major whatever g's layout, as the operand's array is
+        slot.grad = np.add(g, 0.0, out=np.empty(g.shape))
     else:
-        t.grad += g
+        slot.grad += g
+
+
+def _spans(offsets: tuple[int, ...] | None, rows: int) -> list[tuple[int, int]]:
+    """(first row, end) of each segment of ``rows`` rows packed at
+    ``offsets``; one segment when ``offsets`` is None."""
+    offsets = offsets or (0, rows)
+    return list(zip(offsets, offsets[1:]))
 
 
 def segments(x: Tensor) -> list[tuple[int, int]]:
     """(first row, end) of each segment of ``x``; one for an unpacked tensor."""
-    offsets = x.offsets or (0, len(x.data))
-    return list(zip(offsets, offsets[1:]))
+    return _spans(x.offsets, len(x.data))
 
 
-def _sum_segments(x: Tensor, term) -> np.ndarray:
-    """``term(rows)`` summed over the row slices of ``x``'s segments, in
-    reverse segment order."""
+def _sum_segments(offsets: tuple[int, ...] | None, rows: int, term) -> np.ndarray:
+    """``term(rows)`` summed over the row slices of the segments of ``rows``
+    rows packed at ``offsets``, in reverse segment order."""
     total = None
-    for start, stop in reversed(segments(x)):
+    for start, stop in reversed(_spans(offsets, rows)):
         t = term(slice(start, stop))
         if total is None:
             total = t
@@ -202,13 +264,13 @@ def _sum_segments(x: Tensor, term) -> np.ndarray:
     return total
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...], rows: Tensor | None = None) -> np.ndarray:
+def _reduce_to(g: np.ndarray, shape: tuple[int, ...], offsets: tuple[int, ...] | None = None) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape, segment by
-    segment of ``rows``, the packed operand, if one is given."""
+    segment of the rows of ``g`` if they are packed at ``offsets``."""
     if g.shape == shape:
         return g
-    if rows is not None and rows.offsets is not None:
-        return _sum_segments(rows, lambda r: _reduce_to(g[r], shape))
+    if offsets is not None:
+        return _sum_segments(offsets, len(g), lambda r: _reduce_to(g[r], shape))
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, n in enumerate(shape):
@@ -222,8 +284,9 @@ def backward(loss: Tensor) -> None:
 
     The tape may be consumed exactly once; run ``reset_tape()`` before the
     next forward/backward cycle. Each record is released as soon as its rule
-    has run (see ``Tape``): a tensor the caller still holds keeps its
-    ``grad``, and the rest of the graph is freed on the way back.
+    has run (see ``Tape``), and with it the arrays the rule read: a tensor
+    the caller still holds keeps its ``grad``, and the rest of the graph is
+    freed on the way back.
     """
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         raise ShapeError("backward requires a scalar (shape ()) Tensor loss")
@@ -237,10 +300,10 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones((), dtype=np.float64)
     records = _tape.records
     for i in range(len(records) - 1, -1, -1):
-        out, fn, name = records[i]
+        slot, fn, name = records[i]
         records[i] = (None, None, name)
-        if out.grad is not None:
-            fn(out.grad)
+        if slot.grad is not None:
+            fn(slot.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +311,16 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _segment_products(x: Tensor, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _segment_products(offsets, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left @ right``, as one product over the rows of each segment of
-    ``x``: BLAS picks its kernel by the row count, and kernels round
-    differently, so one product over all rows can differ from an example's
-    own (a one-row product is even a matrix-vector product)."""
-    if x.offsets is None:
+    ``left``, packed at ``offsets``: BLAS picks its kernel by the row count,
+    and kernels round differently, so one product over all rows can differ
+    from an example's own (a one-row product is even a matrix-vector
+    product)."""
+    if offsets is None:
         return left @ right
     out = np.empty((len(left), right.shape[1]))
-    for first, stop in segments(x):
+    for first, stop in _spans(offsets, len(left)):
         np.matmul(left[first:stop], right, out=out[first:stop])
     return out
 
@@ -268,11 +332,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = _segment_products(a, a.data, b.data)
+    out = _segment_products(a.offsets, a.data, b.data)
 
-    def _bw(g):
-        _accumulate(a, _segment_products(a, g, b.data.T))
-        _accumulate(b, _sum_segments(a, lambda r: a.data[r].T @ g[r]))
+    def _bw(g, ad=a.data, bd=b.data, sa=a.slot, sb=b.slot, offsets=a.offsets):
+        _accumulate(sa, _segment_products(offsets, g, bd.T))
+        _accumulate(sb, _sum_segments(offsets, len(g), lambda r: ad[r].T @ g[r]))
 
     return _record("matmul", out, (a, b), _bw, a.offsets)
 
@@ -286,9 +350,9 @@ def add(a: Tensor, b: Tensor | float) -> Tensor:
         b = Tensor(float(b))
     out = a.data + b.data
 
-    def _bw(g):
-        _accumulate(a, _reduce_to(g, a.data.shape, a))
-        _accumulate(b, _reduce_to(g, b.data.shape, a))
+    def _bw(g, sa=a.slot, sb=b.slot, a_shape=a.data.shape, b_shape=b.data.shape, offsets=a.offsets):
+        _accumulate(sa, _reduce_to(g, a_shape, offsets))
+        _accumulate(sb, _reduce_to(g, b_shape, offsets))
 
     return _record("add", out, (a, b), _bw, a.offsets)
 
@@ -300,9 +364,9 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
         b = Tensor(float(b))
     out = a.data * b.data
 
-    def _bw(g):
-        _accumulate(a, _reduce_to(g * b.data, a.data.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.data.shape))
+    def _bw(g, ad=a.data, bd=b.data, sa=a.slot, sb=b.slot):
+        _accumulate(sa, _reduce_to(g * bd, ad.shape))
+        _accumulate(sb, _reduce_to(g * ad, bd.shape))
 
     return _record("mul", out, (a, b), _bw)
 
@@ -310,8 +374,8 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     out = x.data.sum()
 
-    def _bw(g):
-        _accumulate(x, np.full(x.data.shape, float(g)))
+    def _bw(g, sx=x.slot, shape=x.data.shape):
+        _accumulate(sx, np.full(shape, float(g)))
 
     return _record("sum_all", np.asarray(out), (x,), _bw)
 
@@ -326,9 +390,9 @@ def pack(parts: list[Tensor]) -> Tensor:
     offsets = (0, *np.cumsum([len(p) for p in parts]).tolist())
     out = np.concatenate([p.data for p in parts])
 
-    def _bw(g):
-        for p, start, stop in zip(parts, offsets, offsets[1:]):
-            _accumulate(p, g[start:stop])
+    def _bw(g, slots=tuple(p.slot for p in parts)):
+        for sp, start, stop in zip(slots, offsets, offsets[1:]):
+            _accumulate(sp, g[start:stop])
 
     return _record("pack", out, tuple(parts), _bw, offsets)
 
@@ -344,12 +408,12 @@ def add_positions(x: Tensor, table: Tensor, start: int = 0) -> Tensor:
     for first, stop in spans:
         np.add(x.data[first:stop], table.data[start : start + stop - first], out=out[first:stop])
 
-    def _bw(g):
-        _accumulate(x, g)
-        gt = np.zeros_like(table.data)
+    def _bw(g, sx=x.slot, st=table.slot, table_shape=table.data.shape):
+        _accumulate(sx, g)
+        gt = np.zeros(table_shape)
         for first, stop in reversed(spans):
             gt[start : start + stop - first] += g[first:stop]
-        _accumulate(table, gt)
+        _accumulate(st, gt)
 
     return _record("add_positions", out, (x, table), _bw, x.offsets)
 
@@ -365,10 +429,10 @@ def mean_pool_1d(x: Tensor, window: int) -> Tensor:
     n_out = n // window
     out = x.data[: n_out * window].reshape(n_out, window, d).mean(axis=1)
 
-    def _bw(g):
-        gx = np.zeros_like(x.data)
+    def _bw(g, sx=x.slot):
+        gx = np.zeros((n, d))
         gx[: n_out * window] = np.repeat(g / window, window, axis=0)
-        _accumulate(x, gx)
+        _accumulate(sx, gx)
 
     return _record("mean_pool_1d", out, (x,), _bw)
 
@@ -416,11 +480,11 @@ def block_means(x: Tensor, spans) -> Tensor:
         buf[: max(n - o, 0)] = x.data[o:]
         out[start:stop] = buf.reshape(stop - start, b, d).mean(axis=1)
 
-    def _bw(g):
-        gx = np.zeros_like(x.data)
+    def _bw(g, sx=x.slot):
+        gx = np.zeros((n, d))
         for b, o, start, stop in reversed(spans):
             gx[o:] += np.repeat(g[start:stop] / b, b, axis=0)[: max(n - o, 0)]
-        _accumulate(x, gx)
+        _accumulate(sx, gx)
 
     return _record("block_means", out, (x,), _bw)
 
@@ -435,15 +499,15 @@ def block_scores(table: Tensor, w: Tensor, spans, n: int) -> Tensor:
     for c, (b, o, start, stop) in enumerate(spans):
         out[:, c] = _realign(table.data[start:stop] @ w.data, b, n)[:, 0]
 
-    def _bw(g):
-        gt = np.empty_like(table.data)
+    def _bw(g, td=table.data, wd=w.data, st=table.slot, sw=w.slot):
+        gt = np.empty_like(td)
         for c in reversed(range(len(spans))):
             b, o, start, stop = spans[c]
             gs = _block_sums(g[:, c : c + 1], b, stop - start)
-            gt[start:stop] = gs @ w.data.T
+            gt[start:stop] = gs @ wd.T
             # one term per stream: w.grad may already hold other examples' terms
-            _accumulate(w, table.data[start:stop].T @ gs)
-        _accumulate(table, gt)
+            _accumulate(sw, td[start:stop].T @ gs)
+        _accumulate(st, gt)
 
     return _record("block_scores", out, (table, w), _bw)
 
@@ -455,20 +519,19 @@ def block_mix(weights: Tensor, table: Tensor, spans) -> Tensor:
     if c_count != len(spans):
         raise ShapeError(f"weights have {c_count} streams but {len(spans)} candidates given")
     _table_rows(spans, n, table)
-    w = weights.data
     out = None
     for c, (b, o, start, stop) in enumerate(spans):
-        term = _realign(table.data[start:stop], b, n) * w[:, c : c + 1]
+        term = _realign(table.data[start:stop], b, n) * weights.data[:, c : c + 1]
         out = term if out is None else out + term
 
-    def _bw(g):
+    def _bw(g, w=weights.data, td=table.data, sw=weights.slot, st=table.slot):
         gw = np.empty_like(w)
-        gt = np.empty_like(table.data)
+        gt = np.empty_like(td)
         for c, (b, o, start, stop) in enumerate(spans):
-            gw[:, c] = (g * _realign(table.data[start:stop], b, n)).sum(axis=1)
+            gw[:, c] = (g * _realign(td[start:stop], b, n)).sum(axis=1)
             gt[start:stop] = _block_sums(g * w[:, c : c + 1], b, stop - start)
-        _accumulate(weights, gw)
-        _accumulate(table, gt)
+        _accumulate(sw, gw)
+        _accumulate(st, gt)
 
     return _record("block_mix", out, (weights, table), _bw)
 
@@ -493,15 +556,15 @@ def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     for t in range(k):
         out += xp[t : t + n] @ filters.data[t]
 
-    def _bw(g):
-        _accumulate(bias, g.sum(axis=0))
-        gf = np.zeros_like(filters.data)
+    def _bw(g, fd=filters.data, sx=x.slot, sf=filters.slot, sb=bias.slot):
+        _accumulate(sb, g.sum(axis=0))
+        gf = np.zeros_like(fd)
         gxp = np.zeros_like(xp)
         for t in range(k):
             gf[t] = xp[t : t + n].T @ g
-            gxp[t : t + n] += g @ filters.data[t].T
-        _accumulate(filters, gf)
-        _accumulate(x, gxp[pad : pad + n].copy())
+            gxp[t : t + n] += g @ fd[t].T
+        _accumulate(sf, gf)
+        _accumulate(sx, gxp[pad : pad + n].copy())
 
     return _record("conv1d_same", out, (x, filters, bias), _bw)
 
@@ -512,9 +575,9 @@ def softmax_last_axis(x: Tensor) -> Tensor:
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def _bw(g):
+    def _bw(g, sx=x.slot):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        _accumulate(sx, y * (g - dot))
 
     return _record("softmax_last_axis", y, (x,), _bw)
 
@@ -569,7 +632,8 @@ def _probs(qh, kt, scale, mask, stats=None, saved=False, out=None):
     step = max(1, BLOCK // (p.shape[0] * p.shape[2]))
     for r in range(0, p.shape[1], step):
         s = p[:, r : r + step]
-        s *= scale
+        if scale != 1.0:  # calibration's unit scale: x * 1.0 is x, bit for bit
+            s *= scale
         if mask is not None:
             s += mask[r : r + step]
         if saved:
@@ -669,7 +733,7 @@ def multi_head_attention(
     (n, width), m = q.shape, k.shape[0]
     hd = width // heads
 
-    def _bw(g):
+    def _bw(g, sq=q.slot, sk=k.slot, sv=v.slot):
         gq = np.empty((n, heads, hd))
         gk = np.empty((m, heads, hd))
         gv = np.empty((m, heads, hd))
@@ -693,14 +757,15 @@ def multi_head_attention(
                     sb, pb = s[:, r : r + step], p[:, r : r + step]
                     sb -= (sb * pb).sum(axis=-1, keepdims=True)
                     sb *= pb
-                    sb *= scale
+                    if scale != 1.0:
+                        sb *= scale
                 gq[q0:q1, hs] = np.matmul(s, kt[hs].transpose(0, 2, 1)).transpose(1, 0, 2)
                 gk[k0:k1, hs] = np.matmul(qh[hs].transpose(0, 2, 1), s).transpose(2, 0, 1)
         # the chain's order (v, then q, then k's transpose): it keeps the bits
         # of a gradient when q, k and v are one tensor, as in calibration
-        _accumulate(v, gv.reshape(m, width))
-        _accumulate(q, gq.reshape(n, width))
-        _accumulate(k, gk.reshape(m, width))
+        _accumulate(sv, gv.reshape(m, width))
+        _accumulate(sq, gq.reshape(n, width))
+        _accumulate(sk, gk.reshape(m, width))
 
     out = outs[0] if len(outs) == 1 else np.concatenate(outs)
     return _record("multi_head_attention", out, (q, k, v), _bw, q.offsets)
@@ -735,10 +800,10 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
         raise ValueError(f"id out of range 0..{vocab - 1}")
     out = table.data[idx].copy()
 
-    def _bw(g):
-        gt = np.zeros_like(table.data)
+    def _bw(g, st=table.slot, table_shape=table.data.shape):
+        gt = np.zeros(table_shape)
         np.add.at(gt, idx, g)
-        _accumulate(table, gt)
+        _accumulate(st, gt)
 
     return _record("embedding_gather", out, (table,), _bw)
 
@@ -757,13 +822,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
-    def _bw(g):
-        _accumulate(gain, _sum_segments(x, lambda r: (g[r] * xhat[r]).sum(axis=0)))
-        _accumulate(bias, _sum_segments(x, lambda r: g[r].sum(axis=0)))
-        dxhat = g * gain.data
+    def _bw(g, gd=gain.data, sx=x.slot, sg=gain.slot, sb=bias.slot, offsets=x.offsets):
+        rows = len(g)
+        _accumulate(sg, _sum_segments(offsets, rows, lambda r: (g[r] * xhat[r]).sum(axis=0)))
+        _accumulate(sb, _sum_segments(offsets, rows, lambda r: g[r].sum(axis=0)))
+        dxhat = g * gd
         term = dxhat - dxhat.mean(axis=-1, keepdims=True)
         term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * term)
+        _accumulate(sx, inv * term)
 
     return _record("layer_norm", out, (x, gain, bias), _bw, x.offsets)
 
@@ -773,9 +839,9 @@ def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
     out = x.data * cdf
 
-    def _bw(g):
-        pdf = np.exp(-0.5 * x.data * x.data) / _SQRT_2PI
-        _accumulate(x, g * (cdf + x.data * pdf))
+    def _bw(g, xd=x.data, sx=x.slot):
+        pdf = np.exp(-0.5 * xd * xd) / _SQRT_2PI
+        _accumulate(sx, g * (cdf + xd * pdf))
 
     return _record("gelu", out, (x,), _bw, x.offsets)
 
@@ -807,10 +873,10 @@ def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") 
         total = part if total is None else total + part
     out = total / n if reduction == "mean" else total
 
-    def _bw(g):
+    def _bw(g, sl=logits.slot):
         p = e / norm
         p[np.arange(n), ids] -= 1.0
         scale = float(g) / n if reduction == "mean" else float(g)
-        _accumulate(logits, p * scale)
+        _accumulate(sl, p * scale)
 
     return _record("cross_entropy_with_logits", np.asarray(out), (logits,), _bw)

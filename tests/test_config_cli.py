@@ -317,6 +317,22 @@ def test_profile_bench_prints_peak_memory(tmp_path, capsys):
     assert all(float(row[-1]) > 0 and float(row[-2]) > 0 for row in rows)  # peak MB, steps/s
 
 
+def test_profile_refuses_a_short_benchmark_before_running_one(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr("gbst.cli.benchmark_steps", lambda *a: ran.append(a))
+    cfg = write_config(tmp_path, TINY)
+    assert main(["profile", "--config", cfg, "--bench-steps", "3"]) == 2
+    assert "n_steps >= 10" in capsys.readouterr().err
+    assert ran == []  # not even the warm-up
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_oracle_test_refuses_a_count_that_compares_nothing(capsys, count):
+    assert main(["oracle-test", "--instances", count]) == 2
+    out, err = capsys.readouterr()
+    assert "failures" not in out and "at least one instance" in err
+
+
 def test_oracle_test_cli(capsys):
     assert main(["oracle-test", "--instances", "40", "--seed", "3"]) == 0
     assert "failures=0" in capsys.readouterr().out

@@ -12,7 +12,9 @@ from scipy.special import erf
 
 from gbst import tensor as T
 from gbst.errors import ConfigError, NonFiniteError, ShapeError, TapeError
-from gbst.model import causal_mask
+from gbst.bytes_data import corrupt_spans, encode
+from gbst.model import ModelState, StackConfig, causal_mask, teacher_forced_pass
+from gbst.subword import GbstConfig
 from gbst.tensor import Parameter, Tensor, backward, no_grad, reset_tape
 
 
@@ -560,14 +562,15 @@ def test_backward_twice_raises():
 
 
 def small_graph():
-    """p -> h = p @ w (held by the caller) -> gelu(h) (not held) -> loss.
-    A Tensor has slots and takes no weak reference, so gelu(h) is watched
-    through its data array, which lives exactly as long as it does."""
+    """p -> h = p @ w (held by the caller) -> g = gelu(h) (not held) ->
+    loss = sum(g * g). The rule of ``mul`` reads g's array, so the tape
+    holds it until backward; a Tensor has slots and takes no weak
+    reference, so g is watched through that array."""
     rng = np.random.default_rng(21)
     p = Parameter("p", rng.normal(size=(4, 3)))
     h = T.matmul(p, Tensor(rng.normal(size=(3, 5))))
     g = T.gelu(h)
-    return p, h, weakref.ref(g.data), T.sum_all(g)
+    return p, h, weakref.ref(g.data), T.sum_all(T.mul(g, g))
 
 
 def test_backward_frees_an_intermediate_nobody_holds():
@@ -577,11 +580,60 @@ def test_backward_frees_an_intermediate_nobody_holds():
     assert g_data() is None
 
 
+def test_forward_frees_outputs_no_rule_reads():
+    # attention saves head-split copies of q, k and v, and the projections'
+    # rules read their inputs, not their outputs: so once the caller drops
+    # the projections, nothing holds their arrays, though the tape lives on
+    rng = np.random.default_rng(22)
+    x = Parameter("x", rng.normal(size=(6, 8)))
+    weights = [Tensor(rng.normal(size=(8, 8))) for _ in range(3)]
+    grads = []
+    for keep in (True, False):
+        reset_tape()
+        x.grad = None
+        q, k, v = (T.matmul(x, w) for w in weights)
+        watched = [weakref.ref(t.data) for t in (q, k, v)]
+        out = T.multi_head_attention(q, k, v, 2)
+        if not keep:
+            del q, k, v
+            assert [w() for w in watched] == [None] * 3
+        assert len(T.active_tape()) == 4
+        backward(T.sum_all(out))
+        grads.append(x.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_no_rule_of_a_packed_model_loss_keeps_a_tensor():
+    # a rule keeps its inputs' slots and the arrays it reads, never a Tensor:
+    # so it keeps alive no output that it does not read
+    gbst = GbstConfig(embedding_dim=64, enable_offsets=True, enable_calibration=True)
+    state = ModelState(StackConfig(), gbst, seed=0)
+    batch = [corrupt_spans(encode("two examples packed " * k), 0.15, 3.0, rng_seed=k) for k in (1, 2)]
+    reset_tape()
+    _, logits, targets = teacher_forced_pass(state, batch)
+    T.cross_entropy_with_logits(logits, targets)
+
+    def tensors(obj):
+        if isinstance(obj, (list, tuple)):
+            return [t for item in obj for t in tensors(item)]
+        return [obj] if isinstance(obj, Tensor) else []
+
+    kept, names = [], set()
+    for slot, fn, name in T.active_tape().records:
+        assert isinstance(slot, T.GradSlot)
+        names.add(name)
+        kept += [name for _ in tensors([c.cell_contents for c in fn.__closure__ or ()])]
+        kept += [name for _ in tensors(fn.__defaults__)]
+    assert kept == []
+    assert len(names) == 15  # every recording op but mul and sum_all
+
+
 def test_backward_keeps_the_grad_of_a_held_intermediate():
     _, h, _, loss = small_graph()
     backward(loss)
     x = h.data
-    expected = 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    expected = 2.0 * x * cdf * (cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
     npt.assert_allclose(h.grad, expected, rtol=1e-12)
 
 
@@ -589,7 +641,7 @@ def test_backward_keeps_the_tape_length_and_names():
     *_, loss = small_graph()
     names = [name for _, _, name in T.active_tape().records]
     backward(loss)
-    assert [name for _, _, name in T.active_tape().records] == names == ["matmul", "gelu", "sum_all"]
+    assert [name for _, _, name in T.active_tape().records] == names == ["matmul", "gelu", "mul", "sum_all"]
 
 
 def test_backward_empty_tape_raises():

@@ -203,22 +203,31 @@ def test_evaluate_exact_match_after_tiny_overfit():
 
 
 @pytest.mark.parametrize(
-    "stack, gbst, batch_size, window",
+    "stack, gbst, batch_size, window, forward_mb",
     [
-        (StackConfig(), GbstConfig(embedding_dim=64), 2, 64),
-        (StackConfig(frontend="identity"), None, 1, 256),
+        (StackConfig(), GbstConfig(embedding_dim=64), 2, 64, 2.6),
+        (StackConfig(frontend="identity"), None, 1, 256, 7.5),
     ],
     ids=["desk", "identity_256"],
 )
-def test_backward_memory_stays_within_the_forward(stack, gbst, batch_size, window, monkeypatch):
-    # backward frees each record once its rule has run, so its peak is about
-    # the forward's activations; and train_step holds no activation of its
-    # own through backward, so backward leaves little more than the gradients
+def test_backward_memory_stays_within_the_forward(stack, gbst, batch_size, window, forward_mb, monkeypatch):
+    # the forward holds only the arrays that backward rules read (an op
+    # output that no rule reads dies once its caller drops it); backward
+    # frees each record once its rule has run, so its peak is about the
+    # larger of those arrays and the gradients it makes; and train_step holds
+    # no activation of its own through backward, so backward leaves little
+    # more than the gradients
     state = ModelState(stack, gbst, seed=0)
     docs = [ByteSequence([i for doc in small_docs() for i in doc.ids])]
     cfg = TrainConfig(batch_size=batch_size, window_len=window, optimizer="sgd")
     batch = make_batch(docs, cfg, np.random.default_rng(0))
     grads = sum(p.data.nbytes for p in state.parameters())
+    opt = make_optimizer(cfg)
+    # an untraced step first: the first step fills CPython's tuple and list
+    # free lists and numpy's small-buffer cache, which tracemalloc counts as
+    # held although nothing holds them
+    train_step(state, batch, cfg, opt)
+    state.zero_grads()
     seen = {}
 
     def traced_backward(loss):
@@ -231,8 +240,10 @@ def test_backward_memory_stays_within_the_forward(stack, gbst, batch_size, windo
     tracemalloc.start()
     try:
         seen["base"] = tracemalloc.get_traced_memory()[0]
-        train_step(state, batch, cfg, make_optimizer(cfg))
+        train_step(state, batch, cfg, opt)
     finally:
         tracemalloc.stop()
-    assert seen["peak"] <= 1.25 * seen["forward"]
-    assert seen["held"] <= grads + 0.01 * seen["forward"]
+    assert seen["forward"] <= forward_mb * 1e6
+    bound = max(seen["forward"], grads)
+    assert seen["peak"] <= 1.25 * bound
+    assert seen["held"] <= grads + 0.01 * bound
