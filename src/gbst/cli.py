@@ -46,15 +46,20 @@ def _load_run_config(args, command: str) -> RunConfig:
     return cfg
 
 
-def _write_resolved(cfg: RunConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.resolved.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))
+def _write_out(out_dir: str, name: str, text: str) -> None:
+    """Write ``text`` to the file ``name`` in ``out_dir``, which is made if
+    missing; a directory that cannot be made is a ``ConfigError`` naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}") from err
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _run_training(cfg: RunConfig, state: ModelState) -> int:
     docs = load_corpus(cfg.corpus)
-    _write_resolved(cfg)
+    _write_out(cfg.out_dir, "config.resolved.txt", format_config(cfg))
     train_cfg = cfg.train_config()
     log_path = os.path.join(cfg.out_dir, "metrics.log")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.gbst")
@@ -88,8 +93,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _load_run_config(args, "finetune")
     if cfg.checkpoint is None:
-        print("error: finetune requires a checkpoint path in the config", file=sys.stderr)
-        return 2
+        raise ConfigError("finetune requires a checkpoint path in the config")
     state = load_checkpoint(cfg.checkpoint)
     state.step = 0
     # the resolved config describes the checkpoint's model, which is the one trained
@@ -109,12 +113,10 @@ def _heatmap(weights: np.ndarray, labels: list[str]) -> str:
 
 def cmd_score_viz(args) -> int:
     if not args.checkpoint or not args.text:
-        print("error: score-viz needs --checkpoint and --text", file=sys.stderr)
-        return 2
+        raise ConfigError("score-viz needs --checkpoint and --text")
     state = load_checkpoint(args.checkpoint)
     if state.stack.frontend != "gbst":
-        print("error: checkpoint has no gbst frontend to visualize", file=sys.stderr)
-        return 2
+        raise ConfigError("checkpoint has no gbst frontend to visualize")
     seq = encode(args.text)
     max_bytes = state.stack.max_positions * state.gbst.downsample_rate
     ids = seq.ids
@@ -124,12 +126,9 @@ def cmd_score_viz(args) -> int:
     with no_grad():
         _, out = run_frontend(state, ids)
     tsv = serialize_scores(out.scores)
+    _write_out(args.out or "runs/latest", "scores.tsv", tsv)
     sys.stdout.write(tsv)
     print(_heatmap(out.scores.mixing_weights().data, out.scores.labels))
-    out_dir = args.out or "runs/latest"
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "scores.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(tsv)
     return 0
 
 
@@ -194,6 +193,14 @@ def cmd_oracle_test(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take no negative seed."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbst",
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--seed", type=_seed, help="override the config seed")
     common.add_argument("--out", help="override the output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)

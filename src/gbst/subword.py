@@ -11,9 +11,11 @@ rows, zero-fill to a multiple of b, and take the mean of every block of b
 rows. ``BlockCandidates`` stacks the block means of all streams in one table,
 which three tape ops use: ``block_means`` builds it, ``block_scores`` scores
 every block with the linear scorer (scoring a block equals scoring each of its
-positions), and ``block_mix`` mixes the blocks that cover each position.
-Trailing positions whose block holds zero fill keep that block's value and
-take part in the softmax like any other candidate.
+positions) and takes the softmax across streams at each position, and
+``block_mix`` mixes the blocks that cover each position. Each op derives the
+table's layout from the streams' (b, o) keys and the length. Trailing
+positions whose block holds zero fill keep that block's value and take part
+in the softmax like any other candidate.
 
 Calibration, softmax(P P^T) P over the (L, C) score matrix P, is the
 one-head, unit-scale case of ``multi_head_attention`` with q = k = v = P.
@@ -82,18 +84,18 @@ class BlockCandidateSet:
 @dataclass
 class BlockCandidates:
     """Every stream's block means in one (P, d) table: stream c, with block size b
-    and offset o, holds its ceil(L/b) blocks in rows start:stop of
-    ``spans[c] = (b, o, start, stop)``; ``length`` is L."""
+    and offset o, ``keys[c] = (b, o)``, holds its ceil(L/b) blocks in the rows
+    that ``tensor.stream_spans`` gives; ``length`` is L."""
 
     table: Tensor
-    spans: list[tuple[int, int, int, int]]
+    keys: list[tuple[int, int]]
     length: int
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self.keys)
 
     def __getitem__(self, c: int) -> BlockCandidateSet:
-        b, o, start, stop = self.spans[c]
+        b, o, start, stop = T.stream_spans(self.keys, self.length)[c]
         pooled = self.table.data[start:stop]
         realigned = np.repeat(pooled, b, axis=0)[: self.length]
         return BlockCandidateSet(b, o, Tensor(pooled.copy()), Tensor(realigned))
@@ -101,7 +103,7 @@ class BlockCandidates:
 
 @dataclass
 class ScoreMatrix:
-    """Pre-softmax scores, softmax weights, and (optionally) calibrated weights."""
+    """Pre-softmax scores (untaped), softmax weights, and (optionally) calibrated weights."""
 
     raw: Tensor
     weights: Tensor
@@ -156,20 +158,15 @@ def enumerate_blocks(x: Tensor, cfg: GbstConfig) -> BlockCandidates:
     n = x.shape[0]
     if n < 1:
         raise ShapeError("input must have at least one row")
-    spans, start = [], 0
-    for b, o in cfg.stream_keys():
-        stop = start + -(-n // b)
-        spans.append((b, o, start, stop))
-        start = stop
-    return BlockCandidates(T.block_means(x, spans), spans, n)
+    keys = cfg.stream_keys()
+    return BlockCandidates(T.block_means(x, keys), keys, n)
 
 
 def score_blocks(candidates: BlockCandidates, scorer: Tensor) -> ScoreMatrix:
     """Score every candidate stream and softmax across streams per position."""
-    raw = T.block_scores(candidates.table, scorer, candidates.spans, candidates.length)
-    weights = T.softmax_last_axis(raw)
-    labels = [_label(b, o) for b, o, _, _ in candidates.spans]
-    return ScoreMatrix(raw=raw, weights=weights, labels=labels)
+    raw, weights = T.block_scores(candidates.table, scorer, candidates.keys, candidates.length)
+    labels = [_label(b, o) for b, o in candidates.keys]
+    return ScoreMatrix(raw=Tensor(raw), weights=weights, labels=labels)
 
 
 def calibrate_scores(weights: Tensor) -> Tensor:
@@ -184,7 +181,7 @@ def calibrate_scores(weights: Tensor) -> Tensor:
 
 def form_latent(candidates: BlockCandidates, weights: Tensor) -> Tensor:
     """Per-position convex mixture of the realigned candidate embeddings."""
-    return T.block_mix(weights, candidates.table, candidates.spans)
+    return T.block_mix(weights, candidates.table, candidates.keys)
 
 
 def downsample(latent: Tensor, rate: int) -> Tensor:

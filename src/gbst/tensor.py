@@ -10,17 +10,18 @@ A tensor that requires a gradient keeps it in a ``GradSlot``, its ``grad``
 and ``requires_grad``; an op output gets one only when it is recorded. A
 record holds its output's slot, not the output, and a rule captures only
 the slots of its inputs and the arrays it reads: ``matmul``, ``mul``,
-``gelu``, ``block_scores`` and ``block_mix`` read their operands;
-``softmax_last_axis`` its output, ``layer_norm`` its normalized rows,
-``conv1d_same`` its padded copy of the input, attention its head-split
-copies and the loss its exponentials; ``add``, ``add_positions``,
-``sum_all``, ``pack``, ``mean_pool_1d``, ``block_means`` and
-``embedding_gather`` read only shapes, offsets and ids. So an op output's
-array lives while a rule reads it or a caller holds it: a projection that
-attention copies, or a residual sum that only ``layer_norm`` and the next
-add take, dies during the forward. A rule binds what it keeps of its inputs
-as default arguments, so its signature names all of it; binding them makes
-no closure cells, which every untaped op of greedy decoding would pay for.
+``gelu`` and ``block_mix`` read their operands; ``block_scores`` its
+operands and its output, the softmax of the scores it returns untaped;
+``layer_norm`` its normalized rows, ``conv1d_same`` its padded copy of the
+input, attention its head-split copies and the loss its exponentials;
+``add``, ``add_positions``, ``sum_all``, ``pack``, ``mean_pool_1d``,
+``block_means`` and ``embedding_gather`` read only shapes, offsets, stream
+spans and ids. So an op output's array lives while a rule reads it or a
+caller holds it: a projection that attention copies, or a residual sum
+that only ``layer_norm`` and the next add take, dies during the forward. A
+rule binds what it keeps of its inputs as default arguments, so its
+signature names all of it; binding them makes no closure cells, which
+every untaped op of greedy decoding would pay for.
 
 ``backward`` consumes the tape: once a record's rule has run, the record
 keeps only its op name, so the arrays the rule read and every gradient
@@ -341,13 +342,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), _bw, a.offsets)
 
 
-def add(a: Tensor, b: Tensor | float) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of broadcastable operands (a row vector against a
-    matrix, a 0-d tensor against anything). A Python scalar ``b`` becomes the
-    constant ``Tensor(float(b))``, so every call takes the one tensor path.
-    It keeps the offsets of ``a``."""
-    if not isinstance(b, Tensor):
-        b = Tensor(float(b))
+    matrix, a 0-d tensor against anything). It keeps the offsets of ``a``."""
     out = a.data + b.data
 
     def _bw(g, sa=a.slot, sb=b.slot, a_shape=a.data.shape, b_shape=b.data.shape, offsets=a.offsets):
@@ -358,8 +355,8 @@ def add(a: Tensor, b: Tensor | float) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor | float) -> Tensor:
-    """Elementwise product, with the broadcasting and the scalar ``b`` of
-    ``add``."""
+    """Elementwise product, with the broadcasting of ``add``; a Python
+    scalar ``b`` becomes the constant ``Tensor(float(b))``."""
     if not isinstance(b, Tensor):
         b = Tensor(float(b))
     out = a.data * b.data
@@ -439,23 +436,22 @@ def mean_pool_1d(x: Tensor, window: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # block candidates: the block means of every (block size b, offset o) stream
-# stacked in one (P, d) table; ``spans[c] = (b, o, start, stop)`` holds the
-# ceil(L/b) blocks of stream c in rows start:stop. The ops work stream by
+# stacked in one (P, d) table, stream after stream in the order of the ops'
+# ``keys``; ``stream_spans`` gives each stream's rows. The ops work stream by
 # stream, backward in reverse stream order, with reshape-means and one matmul
 # per stream: a stacked matmul or a cumulative-sum mean rounds differently.
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(spans, n: int, table: Tensor | None = None) -> int:
-    """Rows of the table that the spans tile, stream after stream."""
-    rows = 0
-    for b, o, start, stop in spans:
-        if b < 1 or o < 0 or (start, stop) != (rows, rows + -(-n // b)):
-            raise ShapeError(f"span {(b, o, start, stop)} does not tile a table for length {n}")
-        rows = stop
-    if table is not None and table.shape != (rows, table.shape[-1]):
-        raise ShapeError(f"table of shape {table.shape} does not match the spans")
-    return rows
+def stream_spans(keys, n: int) -> list[tuple[int, int, int, int]]:
+    """(b, o, start, stop) of each (b, o) stream of ``keys`` for length n:
+    its ceil(n/b) blocks fill rows start:stop of the table."""
+    spans, start = [], 0
+    for b, o in keys:
+        stop = start + -(-n // b)
+        spans.append((b, o, start, stop))
+        start = stop
+    return spans
 
 
 def _realign(blocks: np.ndarray, b: int, n: int) -> np.ndarray:
@@ -470,11 +466,12 @@ def _block_sums(g: np.ndarray, b: int, blocks: int) -> np.ndarray:
     return full.reshape((blocks, b) + g.shape[1:]).sum(axis=1)
 
 
-def block_means(x: Tensor, spans) -> Tensor:
+def block_means(x: Tensor, keys) -> Tensor:
     """(P, d) table: per stream, the rows of x after the first o, zero-filled
     to a multiple of b, averaged over each block of b rows."""
     n, d = x.shape
-    out = np.empty((_table_rows(spans, n), d))
+    spans = stream_spans(keys, n)
+    out = np.empty((spans[-1][3], d))
     for b, o, start, stop in spans:
         buf = np.zeros(((stop - start) * b, d))
         buf[: max(n - o, 0)] = x.data[o:]
@@ -489,17 +486,25 @@ def block_means(x: Tensor, spans) -> Tensor:
     return _record("block_means", out, (x,), _bw)
 
 
-def block_scores(table: Tensor, w: Tensor, spans, n: int) -> Tensor:
-    """(L, C) raw scores: every block mean scored by the (d, 1) map ``w``, at
-    each of the L positions its block covers."""
+def block_scores(table: Tensor, w: Tensor, keys, n: int) -> tuple[np.ndarray, Tensor]:
+    """The (L, C) raw scores, an untaped array: every block mean scored by
+    the (d, 1) map ``w``, at each of the L positions its block covers; and
+    the (L, C) weights, their softmax across streams, max-subtracted for
+    stability, which the op records."""
     if w.shape != (table.shape[1], 1):
         raise ShapeError(f"scorer must have shape ({table.shape[1]}, 1), got {w.shape}")
-    _table_rows(spans, n, table)
-    out = np.empty((n, len(spans)))
+    spans = stream_spans(keys, n)
+    if table.shape != (spans[-1][3], table.shape[1]):
+        raise ShapeError(f"table of shape {table.shape} does not fit the streams {keys} at length {n}")
+    raw = np.empty((n, len(spans)))
     for c, (b, o, start, stop) in enumerate(spans):
-        out[:, c] = _realign(table.data[start:stop] @ w.data, b, n)[:, 0]
+        raw[:, c] = _realign(table.data[start:stop] @ w.data, b, n)[:, 0]
+    _check_finite(raw, "block_scores")
+    e = np.exp(raw - raw.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def _bw(g, td=table.data, wd=w.data, st=table.slot, sw=w.slot):
+        g = y * (g - (g * y).sum(axis=-1, keepdims=True))  # through the softmax
         gt = np.empty_like(td)
         for c in reversed(range(len(spans))):
             b, o, start, stop = spans[c]
@@ -509,16 +514,16 @@ def block_scores(table: Tensor, w: Tensor, spans, n: int) -> Tensor:
             _accumulate(sw, td[start:stop].T @ gs)
         _accumulate(st, gt)
 
-    return _record("block_scores", out, (table, w), _bw)
+    return raw, _record("block_scores", y, (table, w), _bw)
 
 
-def block_mix(weights: Tensor, table: Tensor, spans) -> Tensor:
+def block_mix(weights: Tensor, table: Tensor, keys) -> Tensor:
     """(L, d) mixture of the streams' block means at each position under the
     (L, C) ``weights``."""
     n, c_count = weights.shape
-    if c_count != len(spans):
-        raise ShapeError(f"weights have {c_count} streams but {len(spans)} candidates given")
-    _table_rows(spans, n, table)
+    spans = stream_spans(keys, n)
+    if c_count != len(spans) or table.shape != (spans[-1][3], table.shape[-1]):
+        raise ShapeError(f"weights {weights.shape} and table {table.shape} do not fit the streams {keys}")
     out = None
     for c, (b, o, start, stop) in enumerate(spans):
         term = _realign(table.data[start:stop], b, n) * weights.data[:, c : c + 1]
@@ -567,19 +572,6 @@ def conv1d_same(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         _accumulate(sx, gxp[pad : pad + n].copy())
 
     return _record("conv1d_same", out, (x, filters, bias), _bw)
-
-
-def softmax_last_axis(x: Tensor) -> Tensor:
-    """Row-stochastic softmax over the last axis, max-subtracted for stability."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def _bw(g, sx=x.slot):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(sx, y * (g - dot))
-
-    return _record("softmax_last_axis", y, (x,), _bw)
 
 
 # elements of float64 that attention holds at a time, 2**16 * 8 B = 512 KB:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .bytes_data import ByteSequence, SpanCorruptionExample, corrupt_spans, format_example
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError, check_int_fields
 from .model import ModelState, greedy_decode, teacher_forced_pass
 from .tensor import Parameter, Tensor, backward, no_grad, reset_tape
 
@@ -46,6 +46,7 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.schedule not in ("constant", "inverse_sqrt"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.optimizer not in ("adam", "sgd"):
@@ -55,6 +56,7 @@ class TrainConfig:
             "steps": (self.steps >= 0, ">= 0"),
             "learning_rate": (0.0 <= self.learning_rate < math.inf, "finite and >= 0"),  # nan fails
             "warmup": (self.warmup >= 0, ">= 0"),
+            "seed": (self.seed >= 0, ">= 0"),  # numpy's generators take no negative seed
             "grad_clip": (self.grad_clip >= 0, ">= 0"),
             "checkpoint_every": (self.checkpoint_every >= 0, ">= 0"),
             "window_len": (self.window_len >= 1, ">= 1"),

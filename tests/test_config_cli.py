@@ -6,6 +6,7 @@ import pytest
 from gbst.cli import bundled_corpus_path, main
 from gbst.config import RunConfig, format_config, load_config, parse_config_text, resolve_for
 from gbst.errors import ConfigError
+from gbst.model import ModelState, save_checkpoint
 
 TINY = """
 # small everything so command tests stay fast
@@ -123,6 +124,7 @@ def test_rerun_same_seed_byte_identical(tmp_path):
         ("warmup", "-1"),
         ("grad_clip", "-1"),
         ("checkpoint_every", "-1"),
+        ("seed", "-5"),
     ],
 )
 def test_bad_value_exits_2_before_anything_is_written(tmp_path, capsys, key, value):
@@ -183,6 +185,31 @@ def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, command, kin
     assert command.rsplit("-", 1)[1] in err.replace(str(bad), "")
     # a run that cannot start leaves no resolved config behind
     assert not (out / "config.resolved.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "gradcheck", "oracle-test"])
+def test_negative_seed_flag_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--seed", "-1"])
+    assert exited.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "score-viz"])
+def test_unusable_out_exits_2_naming_the_path(tmp_path, capsys, command):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    if command == "pretrain":
+        argv = ["pretrain", "--config", write_config(tmp_path, TINY)]
+    else:
+        cfg = parse_config_text(TINY)
+        ckpt = str(tmp_path / "model.gbst")
+        save_checkpoint(ModelState(cfg.stack_config(), cfg.gbst_config(), seed=0), ckpt)
+        argv = ["score-viz", "--checkpoint", ckpt, "--text", "abc"]
+    for out in (blocker, blocker / "sub"):
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert str(out) in captured.err and captured.out == ""
 
 
 def test_finetune_requires_checkpoint(tmp_path, capsys):

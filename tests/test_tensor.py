@@ -190,16 +190,6 @@ def test_pool_gradient_with_remainder_row():
 # --- block_means / block_scores / block_mix -------------------------------
 
 
-def block_spans(keys, n):
-    """(b, o, start, stop) spans that stack the streams ``keys`` for length n."""
-    spans, start = [], 0
-    for b, o in keys:
-        stop = start + -(-n // b)
-        spans.append((b, o, start, stop))
-        start = stop
-    return spans
-
-
 # length 5 throughout: one stream of b = 1; block sizes that do not divide 5;
 # offsets at and beyond the length (all-zero streams)
 STREAMS = {
@@ -209,37 +199,42 @@ STREAMS = {
 }
 
 
+def table_rows(keys, n):
+    return sum(-(-n // b) for b, _ in keys)
+
+
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
 def test_block_means_match_loop(keys):
     x = np.random.default_rng(20).normal(size=(5, 3))
-    spans = block_spans(keys, 5)
-    table = T.block_means(Tensor(x), spans).data
-    for b, o, start, stop in spans:
-        for j in range(stop - start):
+    table = T.block_means(Tensor(x), keys).data
+    start = 0
+    for b, o in keys:
+        for j in range(-(-5 // b)):
             block = np.zeros((b, 3))
             rows = x[o + j * b : min(o + (j + 1) * b, 5)]
             block[: len(rows)] = rows
             npt.assert_allclose(table[start + j], block.sum(axis=0) / b, atol=1e-15)
+        start += -(-5 // b)
+    assert len(table) == start
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
 def test_block_means_gradient_vs_fd(keys):
     rng = np.random.default_rng(21)
-    spans = block_spans(keys, 5)
     x = Parameter("x", rng.normal(size=(5, 3)))
-    w = Tensor(rng.normal(size=(spans[-1][3], 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.block_means(x, spans), w)), [x])
+    w = Tensor(rng.normal(size=(table_rows(keys, 5), 3)))
+    check_op_grad(lambda: T.sum_all(T.mul(T.block_means(x, keys), w)), [x])
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
 def test_block_scores_gradient_vs_fd(keys):
+    # through the softmax inside the op
     rng = np.random.default_rng(22)
-    spans = block_spans(keys, 5)
-    table = Parameter("table", rng.normal(size=(spans[-1][3], 3)))
+    table = Parameter("table", rng.normal(size=(table_rows(keys, 5), 3)))
     scorer = Parameter("scorer", rng.normal(size=(3, 1)))
-    r = Tensor(rng.normal(size=(5, len(spans))))
+    r = Tensor(rng.normal(size=(5, len(keys))))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.block_scores(table, scorer, spans, 5), r)),
+        lambda: T.sum_all(T.mul(T.block_scores(table, scorer, keys, 5)[1], r)),
         [table, scorer],
     )
 
@@ -247,62 +242,83 @@ def test_block_scores_gradient_vs_fd(keys):
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
 def test_block_mix_gradient_vs_fd(keys):
     rng = np.random.default_rng(23)
-    spans = block_spans(keys, 5)
-    weights = Parameter("weights", rng.normal(size=(5, len(spans))))
-    table = Parameter("table", rng.normal(size=(spans[-1][3], 3)))
+    weights = Parameter("weights", rng.normal(size=(5, len(keys))))
+    table = Parameter("table", rng.normal(size=(table_rows(keys, 5), 3)))
     r = Tensor(rng.normal(size=(5, 3)))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.block_mix(weights, table, spans), r)),
+        lambda: T.sum_all(T.mul(T.block_mix(weights, table, keys), r)),
         [weights, table],
     )
 
 
 def test_block_ops_one_record_each():
-    spans = block_spans([(1, 0), (2, 0), (2, 1)], 5)
+    keys = [(1, 0), (2, 0), (2, 1)]
     x = Tensor(np.ones((5, 2)), requires_grad=True)
-    table = T.block_means(x, spans)
-    raw = T.block_scores(table, Tensor(np.ones((2, 1))), spans, 5)
-    T.block_mix(T.softmax_last_axis(raw), table, spans)
-    assert [name for _, _, name in T.active_tape().records] == [
-        "block_means", "block_scores", "softmax_last_axis", "block_mix"
-    ]
+    table = T.block_means(x, keys)
+    _, weights = T.block_scores(table, Tensor(np.ones((2, 1))), keys, 5)
+    T.block_mix(weights, table, keys)
+    assert [name for _, _, name in T.active_tape().records] == ["block_means", "block_scores", "block_mix"]
 
 
 def test_block_ops_reject_mismatched_spans():
-    x = Tensor(np.ones((5, 2)))
+    keys = [(1, 0), (2, 0)]
+    table = T.block_means(Tensor(np.ones((5, 2))), keys)
     with pytest.raises(ShapeError):
-        T.block_means(x, [(2, 0, 0, 2)])  # 5 rows need 3 blocks of 2
+        T.block_scores(table, Tensor(np.ones((3, 1))), keys, 5)
     with pytest.raises(ShapeError):
-        T.block_means(x, [(1, 0, 0, 5), (2, 0, 6, 9)])  # gap between streams
-    spans = block_spans([(1, 0), (2, 0)], 5)
-    table = T.block_means(x, spans)
+        T.block_scores(table, Tensor(np.ones((2, 1))), keys, 6)
     with pytest.raises(ShapeError):
-        T.block_scores(table, Tensor(np.ones((3, 1))), spans, 5)
+        T.block_mix(Tensor(np.ones((5, 3))), table, keys)
     with pytest.raises(ShapeError):
-        T.block_scores(table, Tensor(np.ones((2, 1))), spans, 6)
-    with pytest.raises(ShapeError):
-        T.block_mix(Tensor(np.ones((5, 3))), table, spans)
+        T.block_mix(Tensor(np.ones((6, 2))), table, keys)
 
 
-# --- softmax ----------------------------------------------------------------
+# --- the softmax of block_scores --------------------------------------------
+
+
+def softmax_last_axis(x):
+    """Max-subtracted softmax over the last axis as one tape record: the
+    reference for the softmax inside block_scores and for attention's."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def _bw(g):
+        T._accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    return T._record("softmax_last_axis", y, (x,), _bw)
 
 
 def test_softmax_uniform():
-    out = T.softmax_last_axis(Tensor([[0.0, 0.0, 0.0, 0.0]]))
-    npt.assert_allclose(out.data, 0.25, atol=1e-15)
+    # a zero scorer scores every block 0
+    table = T.block_means(Tensor(np.ones((1, 3))), STREAMS["remainders"])
+    _, weights = T.block_scores(table, Tensor(np.zeros((3, 1))), STREAMS["remainders"], 1)
+    npt.assert_allclose(weights.data, 0.25, atol=1e-15)
 
 
 def test_softmax_extreme_logits_stable():
-    out = T.softmax_last_axis(Tensor([[1000.0, 0.0]]))
-    assert np.isfinite(out.data).all()
-    npt.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-300)
+    # one block of 1000 against one of 0, at each position
+    table = Tensor([[1000.0], [0.0]])
+    raw, weights = T.block_scores(table, Tensor([[1.0]]), [(1, 0), (1, 1)], 1)
+    npt.assert_array_equal(raw, [[1000.0, 0.0]])
+    assert np.isfinite(weights.data).all()
+    npt.assert_allclose(weights.data, [[1.0, 0.0]], atol=1e-300)
 
 
 def test_softmax_gradient_vs_fd():
+    # the scores of one b = 1 stream per column: the softmax alone, on (1, 4)
     rng = np.random.default_rng(6)
-    x = Parameter("x", rng.normal(size=(1, 4)))
+    table = Parameter("table", rng.normal(size=(4, 1)))
     w = Tensor(rng.normal(size=(1, 4)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.softmax_last_axis(x), w)), [x])
+    keys = [(1, 0)] * 4
+    check_op_grad(lambda: T.sum_all(T.mul(T.block_scores(table, Tensor([[1.0]]), keys, 1)[1], w)), [table])
+
+
+@pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
+def test_block_scores_weights_bit_equal_to_softmax_of_raw(keys):
+    rng = np.random.default_rng(24)
+    table = Tensor(rng.normal(scale=3.0, size=(table_rows(keys, 5), 3)))
+    raw, weights = T.block_scores(table, Tensor(rng.normal(size=(3, 1))), keys, 5)
+    assert weights.data.tobytes() == softmax_last_axis(Tensor(raw)).data.tobytes()
 
 
 # --- multi_head_attention ---------------------------------------------------
@@ -351,7 +367,7 @@ def unfused_attention(q, k, v, heads, mask=None):
         scores = T.mul(T.matmul(qs, transpose_2d(ks)), scale)
         if mask is not None:
             scores = T.add(scores, Tensor(mask))
-        outs.append(T.matmul(T.softmax_last_axis(scores), vs))
+        outs.append(T.matmul(softmax_last_axis(scores), vs))
     return outs[0] if heads == 1 else concat_last_axis(outs)
 
 
@@ -625,7 +641,7 @@ def test_no_rule_of_a_packed_model_loss_keeps_a_tensor():
         kept += [name for _ in tensors([c.cell_contents for c in fn.__closure__ or ()])]
         kept += [name for _ in tensors(fn.__defaults__)]
     assert kept == []
-    assert len(names) == 15  # every recording op but mul and sum_all
+    assert len(names) == 14  # every recording op but mul and sum_all
 
 
 def test_backward_keeps_the_grad_of_a_held_intermediate():

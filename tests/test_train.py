@@ -166,6 +166,9 @@ def test_train_config_validation():
         TrainConfig(schedule="linear")
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="adagrad")
+    for seed in (-1, 1.5, True):  # numpy's generators take only non-negative ints
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=seed)
 
 
 def test_ema_declines_on_short_run():
