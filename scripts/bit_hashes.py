@@ -2,12 +2,21 @@
 cached decoding.
 
 Run from anywhere: ``python3 scripts/bit_hashes.py``. The script imports the
-``gbst`` package of the checkout it sits in and pins BLAS to one thread.
-Diff its output against the same script run in a copy of another commit (a
-``git archive`` of the parent, say) to show that a change keeps the bits.
+``gbst`` package of the checkout it sits in, which sets BLAS to one thread
+at import. Diff its output against the same script run in a copy of another
+commit (a ``git archive`` of the parent, say) to show that a change keeps the
+bits. Run it both unrestricted and under ``taskset -c 0``: the package hands
+attention work to a second thread only where the process may use two CPUs,
+and the hashes must not depend on that. A commit older than the import's
+BLAS pin needs ``OPENBLAS_NUM_THREADS=1`` in the environment.
 
 Lines printed:
 
+- ``env cpus=<n> lane=<yes|no> blas_threads=<n>``: the CPUs the process may
+  use, whether the package runs attention work on a second thread, and the
+  BLAS thread count its import pin read back (``None`` where it found no
+  setter, or where the package has no pin); this line may differ between
+  runs, the rest must not;
 - ``init <name> sha256=<...>``: the SHA-256 over every parameter's name and
   float64 bytes of ``init_gbst_params`` at ``default_rng(0)``, the GBST-only
   init of the oracle suite, for a small config with and without a conv;
@@ -21,14 +30,10 @@ Lines printed:
   absolute deviation from one teacher-forced pass over the same prefix.
 """
 
+import hashlib
 import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -112,7 +117,14 @@ def decode_line(seed: int, docs: list[ByteSequence]) -> str:
     return f"decode seed={seed} sha256={digest} max_dev={np.abs(cached - full).max():.3e}"
 
 
+def env_line() -> str:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lane = getattr(T, "_get_lane", lambda: None)() is not None
+    return f"env cpus={cpus} lane={'yes' if lane else 'no'} blas_threads={getattr(T, 'BLAS_THREADS', None)}"
+
+
 def main() -> None:
+    print(env_line(), flush=True)
     for name in INIT:
         print(init_line(name), flush=True)
     docs = joined_corpus()

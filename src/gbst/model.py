@@ -121,14 +121,18 @@ def parameter_specs(
 class ModelState:
     """All parameters plus the step counter."""
 
-    def __init__(self, stack: StackConfig, gbst: GbstConfig | None = None, seed: int = 0):
+    def __init__(
+        self, stack: StackConfig, gbst: GbstConfig | None = None, seed: int = 0, arrays: dict | None = None
+    ):
+        """Each parameter of ``parameter_specs`` drawn from ``default_rng(seed)``,
+        or, with no draw, taken from ``arrays``, name -> array (a checkpoint's)."""
         self.stack = stack
         self.gbst = gbst
         self.step = 0
         rng = np.random.default_rng(seed)
         self.params: dict[str, Parameter] = {
-            name: draw_parameter(name, shape, std, fill, rng)
-            for name, (shape, std, fill) in parameter_specs(stack, gbst).items()
+            name: draw_parameter(name, *spec, rng) if arrays is None else Parameter(name, arrays[name])
+            for name, spec in parameter_specs(stack, gbst).items()
         }
 
     def parameters(self) -> list[Parameter]:
@@ -458,8 +462,10 @@ def load_checkpoint(path: str) -> ModelState:
             raise ConfigError(f"{path} lists other parameters than its model has")
         if 8 * sum(math.prod(shape) for shape, _, _ in specs.values()) != left:
             raise ConfigError(f"{path} does not hold the parameter bytes its header lists")
-        state = ModelState(stack, gbst, seed=0)
-        state.step = step
-        for p in state.parameters():
-            p.data = np.frombuffer(fh.read(8 * p.data.size), "<f8").astype(np.float64).reshape(p.shape)
+        arrays = {
+            name: np.frombuffer(fh.read(8 * math.prod(shape)), "<f8").astype(np.float64).reshape(shape)
+            for name, (shape, _, _) in specs.items()
+        }
+    state = ModelState(stack, gbst, arrays=arrays)
+    state.step = step
     return state

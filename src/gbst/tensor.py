@@ -53,13 +53,34 @@ gradient that sums over rows (a weight, a bias, a gain, a table of
 positions) is taken segment by segment and added in reverse segment order,
 the order in which a tape of one record per example adds them. One product
 or column sum over all rows would round otherwise.
+
+Long attention runs on two threads, bit for bit. ``_both`` hands one job to
+the lane, one helper thread that starts on first use, and only where the
+process may use two or more CPUs; a forked child starts its own. Only the
+thread that runs ops hands out jobs, and it takes a job back that the lane
+has not started by the time its own work is done. When one head's (n, m)
+scores hold more than ``BLOCK`` elements, ``multi_head_attention``'s
+forward runs its head groups two at a time, one on the lane, and a group
+that runs alone shares its softmax row blocks with the lane; its backward
+does the same with the recompute, runs its products in pairs and shares the
+softmax backward's row blocks. Every product is still one whole BLAS call
+and every reduction runs over a whole row, so no bit depends on the lane,
+nor on which thread ran what. At import the module sets numpy's OpenBLAS to
+one thread (``BLAS_THREADS`` is the count read back): two threads split
+products whose sizes are not round numbers differently, and OpenBLAS caps
+its count at the usable CPUs, so only one thread gives the same bits on
+every host. The lane uses the second core.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import glob
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 from scipy.special import erf
@@ -89,6 +110,126 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+def _one_blas_thread() -> int | None:
+    """Set the OpenBLAS that numpy loaded to one thread, through its runtime
+    setter, and return the count it then reports; None when no setter is
+    found. Products whose sizes are not round numbers round differently at
+    two threads, and OpenBLAS caps its count at the CPUs the process may
+    use, so only one thread gives the same bits on every host; the lane puts
+    the second core to use instead."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "lib*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            setter, getter = (getattr(lib, name.format(verb), None) for verb in ("set", "get"))
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(1)
+                return int(getter())
+    return None
+
+
+# the OpenBLAS thread count read back after the import's pin, or None
+BLAS_THREADS = _one_blas_thread()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Lane:
+    """One helper thread that runs the jobs ``_both`` hands it, in turn."""
+
+    def __init__(self):
+        self.jobs = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="gbst-lane", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            job, box, claim, done = self.jobs.get()
+            if claim.acquire(blocking=False):  # else the caller took the job back
+                try:
+                    box[:] = True, job()
+                except BaseException as err:  # raised again on the thread that handed the job out
+                    box[:] = False, err
+            del job, box  # hold nothing of the caller's until the next job
+            done.release()
+
+
+_lane: _Lane | bool | None = None  # None until first use; False where there is none
+
+
+def _get_lane() -> _Lane | None:
+    """The lane, started on first use; None where the process may use one
+    CPU. Ops run on one thread, as the module's tape does, so no lock."""
+    global _lane
+    if _lane is None:
+        _lane = _Lane() if _usable_cpus() > 1 else False
+    return _lane or None
+
+
+def _forget_lane() -> None:
+    """A forked child has no lane thread: let it start its own."""
+    global _lane
+    _lane = None
+
+
+os.register_at_fork(after_in_child=_forget_lane)
+
+
+def _in_turn(f, g):
+    """``(f(), g())``, both on this thread."""
+    return f(), g()
+
+
+def _both(f, g):
+    """``(f(), g())``, with ``g`` on the lane while ``f`` runs here; an
+    exception of ``g`` is raised here. If the lane has not started ``g`` when
+    ``f`` returns, as when another process holds the second core, ``g`` runs
+    here instead. Without a lane, or on the lane itself (its one thread
+    would wait for itself), both run here in turn."""
+    lane = _get_lane()
+    if lane is None or threading.get_ident() == lane.thread.ident:
+        return _in_turn(f, g)
+    box, claim, done = [], threading.Lock(), threading.Lock()
+    done.acquire()
+    lane.jobs.put((g, box, claim, done))
+    try:
+        first = f()
+    finally:
+        took = claim.acquire(blocking=False)  # the lane has not started g, and now never will
+        if not took:
+            done.acquire()  # g writes into the caller's arrays: wait for it even if f raised
+    if took:
+        return first, g()
+    ok, second = box
+    if not ok:
+        raise second
+    return first, second
+
+
+def _share_rows(pair, block, rows: int, step: int) -> None:
+    """``block(r)`` for the first row r of each block of ``step`` of the
+    ``rows`` rows, run by both sides of ``pair`` (``_both`` or ``_in_turn``):
+    each side takes the next block no side has taken, so a side that runs
+    slower takes fewer."""
+    if rows <= step:
+        block(0)
+        return
+    firsts = iter(range(0, rows, step))  # next() is one C call under the GIL
+
+    def take():
+        for r in firsts:
+            block(r)
+
+    pair(take, take)
 
 
 class GradSlot:
@@ -314,10 +455,10 @@ def backward(loss: Tensor) -> None:
 
 def _segment_products(offsets, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left @ right``, as one product over the rows of each segment of
-    ``left``, packed at ``offsets``: BLAS picks its kernel by the row count,
-    and kernels round differently, so one product over all rows can differ
-    from an example's own (a one-row product is even a matrix-vector
-    product)."""
+    ``left``, packed at ``offsets``. One product over all rows can round an
+    example's rows otherwise than its own product: a one-row product is a
+    matrix-vector product, and under OpenBLAS's kernels a product split by
+    rows keeps its bits only when its output has a multiple of 8 columns."""
     if offsets is None:
         return left @ right
     out = np.empty((len(left), right.shape[1]))
@@ -608,12 +749,13 @@ def _group(heads: int, n: int, m: int) -> int:
     return max(1, min(heads, BLOCK // (n * m)))
 
 
-def _probs(qh, kt, scale, mask, stats=None, saved=False, out=None):
+def _probs(qh, kt, scale, mask, stats=None, saved=False, out=None, pair=_in_turn):
     """The (g, n, m) probabilities of a group of heads: the scores, one
     ``np.matmul`` batched over the group, then scaled, masked and softmaxed
     in place in row blocks of about ``BLOCK`` elements. The product stays
     whole: one over a block of rows could round differently, by the BLAS
-    kernel chosen.
+    kernel chosen. Both sides of ``pair`` walk the blocks: this thread
+    alone, or it and the lane at once.
 
     ``stats`` is an optional (2, g, n, 1) array that takes each row's max
     and sum of exponentials, or, when ``saved``, gives them: a recompute
@@ -622,7 +764,8 @@ def _probs(qh, kt, scale, mask, stats=None, saved=False, out=None):
     """
     p = np.matmul(qh, kt, out=out)
     step = max(1, BLOCK // (p.shape[0] * p.shape[2]))
-    for r in range(0, p.shape[1], step):
+
+    def block(r):
         s = p[:, r : r + step]
         if scale != 1.0:  # calibration's unit scale: x * 1.0 is x, bit for bit
             s *= scale
@@ -639,6 +782,8 @@ def _probs(qh, kt, scale, mask, stats=None, saved=False, out=None):
             if stats is not None:
                 stats[:, :, r : r + step] = top, total
         s /= total
+
+    _share_rows(pair, block, p.shape[1], step)
     return p
 
 
@@ -652,7 +797,11 @@ def _attend(qh, kt, vh, scale, mask, stats=None):
     group's probabilities at a time. Each product is one ``np.matmul``
     batched over a group, which numpy runs as one BLAS call per head, with
     the bits of a 2-D matmul per head. A decode step or a desk-sized
-    segment is one group, and runs on the whole operands.
+    segment is one group, and runs on the whole operands. When one head's
+    scores hold more than ``BLOCK`` elements, a group is one head, and the
+    groups run two at a time, one of them on the lane, so two (n, m)
+    buffers are held; a last group that runs alone shares its softmax
+    blocks with the lane.
     """
     heads, n, hd = qh.shape
     m = kt.shape[2]
@@ -665,10 +814,20 @@ def _attend(qh, kt, vh, scale, mask, stats=None):
     else:
         g = _group(heads, n, m)
         out = np.empty((heads, n, hd))
-        for h in range(0, heads, g):
+
+        def run(h, pair=_in_turn):
             hs = slice(h, h + g)
             part = None if stats is None else stats[:, hs]
-            np.matmul(_probs(qh[hs], kt[hs], scale, mask, part), vh[hs], out=out[hs])
+            np.matmul(_probs(qh[hs], kt[hs], scale, mask, part, pair=pair), vh[hs], out=out[hs])
+
+        if n * m <= BLOCK:
+            for h in range(0, heads, g):
+                run(h)
+        else:  # g is 1
+            for h in range(1, heads, 2):
+                _both(lambda: run(h - 1), lambda: run(h))
+            if heads % 2:
+                run(heads - 1, _both)
     return out.transpose(1, 0, 2).reshape(n, heads * hd)
 
 
@@ -700,12 +859,17 @@ def multi_head_attention(
     this op is bit-identical to that chain, forward and backward, segment by
     segment. The record saves those copies, each segment's mask and each
     row's max and sum of exponentials (2·h·n floats), and no probabilities.
-    The backward walks the forward's head groups: it recomputes each
-    group's probabilities with ``_probs``, then runs each of the four
-    products as one ``np.matmul`` over the group and the softmax backward in
-    row blocks. One (probabilities, score gradient) scratch pair serves
-    every group of every segment, so the backward holds two groups' (g, n,
-    m) buffers, never all heads' probabilities.
+    The forward runs a segment's head groups two at a time, one on the lane,
+    when one head's scores hold more than ``BLOCK`` elements (a group is
+    then one head), so it holds two (n, m) buffers. The backward walks the
+    forward's head groups: it recomputes each group's probabilities with
+    ``_probs``, then runs each of the four products as one ``np.matmul``
+    over the group and the softmax backward in row blocks; for such long
+    heads the two products that read the same operands run at once, one on
+    the lane, and each softmax pass shares its blocks with the lane. One
+    (probabilities, score gradient) scratch pair serves every group of every
+    segment, so the backward holds two groups' (g, n, m) buffers, never all
+    heads' probabilities.
     """
     q_spans, kv_spans = segments(q), segments(k)
     if k.offsets != v.offsets or len(k.data) != len(v.data) or len(q_spans) != len(kv_spans):
@@ -736,23 +900,38 @@ def multi_head_attention(
         ):
             go = g[q0:q1].reshape(rows, heads, hd).transpose(1, 0, 2).copy()
             per = _group(heads, rows, keys)
+            # one head a group over several row blocks: the lane shares it
+            pair = _both if rows * keys > BLOCK else _in_turn
             for h in range(0, heads, per):
                 hs = slice(h, min(h + per, heads))
                 count = hs.stop - h
                 # the group's probabilities and score gradient, in the scratch
                 p, s = scratch[:, : count * rows * keys].reshape(2, count, rows, keys)
-                _probs(qh[hs], kt[hs], scale, seg_mask, stats[:, hs], saved=True, out=p)
-                np.matmul(go[hs], vh[hs].transpose(0, 2, 1), out=s)
-                gv[k0:k1, hs] = np.matmul(p.transpose(0, 2, 1), go[hs]).transpose(1, 0, 2)
-                step = max(1, BLOCK // (count * keys))
-                for r in range(0, rows, step):
+                _probs(qh[hs], kt[hs], scale, seg_mask, stats[:, hs], saved=True, out=p, pair=pair)
+                _, gvh = pair(
+                    lambda: np.matmul(go[hs], vh[hs].transpose(0, 2, 1), out=s),
+                    lambda: np.matmul(p.transpose(0, 2, 1), go[hs]),
+                )
+                gv[k0:k1, hs] = gvh.transpose(1, 0, 2)
+                # with the lane, blocks of half the rows: the two (sb * pb)
+                # temporaries in flight hold what one does without it; the
+                # blocks' size changes no bit of these row-wise passes
+                step = max(1, BLOCK // ((2 if pair is _both else 1) * count * keys))
+
+                def block(r):
                     sb, pb = s[:, r : r + step], p[:, r : r + step]
                     sb -= (sb * pb).sum(axis=-1, keepdims=True)
                     sb *= pb
                     if scale != 1.0:
                         sb *= scale
-                gq[q0:q1, hs] = np.matmul(s, kt[hs].transpose(0, 2, 1)).transpose(1, 0, 2)
-                gk[k0:k1, hs] = np.matmul(qh[hs].transpose(0, 2, 1), s).transpose(2, 0, 1)
+
+                _share_rows(pair, block, rows, step)
+                gqh, gkh = pair(
+                    lambda: np.matmul(s, kt[hs].transpose(0, 2, 1)),
+                    lambda: np.matmul(qh[hs].transpose(0, 2, 1), s),
+                )
+                gq[q0:q1, hs] = gqh.transpose(1, 0, 2)
+                gk[k0:k1, hs] = gkh.transpose(2, 0, 1)
         # the chain's order (v, then q, then k's transpose): it keeps the bits
         # of a gradient when q, k and v are one tensor, as in calibration
         _accumulate(sv, gv.reshape(m, width))

@@ -259,6 +259,24 @@ def test_checkpoint_round_trip_bit_identical():
     assert (logits.data == logits2.data).all()
 
 
+class NoDrawGenerator(np.random.Generator):
+    def normal(self, *args, **kwargs):
+        raise AssertionError("a checkpoint load drew a random init")
+
+
+def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
+    state = desk_state(seed=5)
+    path = str(tmp_path / "ck.gbst")
+    save_checkpoint(state, path)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDrawGenerator(np.random.PCG64(seed)))
+    with pytest.raises(AssertionError):
+        desk_state(seed=5)  # the patch bites wherever a model is drawn
+    loaded = load_checkpoint(path)
+    assert list(loaded.params) == list(state.params)
+    for name, p in state.params.items():
+        assert loaded[name].data.tobytes() == p.data.tobytes()
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.gbst"
     p.write_bytes(b"not a checkpoint")

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import multiprocessing
+import queue
+import threading
 import tracemalloc
 import weakref
 
@@ -445,6 +448,100 @@ def test_attention_forward_keeps_no_probabilities():
         tracemalloc.stop()
     assert out.requires_grad
     assert held < n * m * 8
+
+
+def attention_hashes(n, m, heads, masked, seed, scale=None, shared=False):
+    """SHA-256 of the output and the q, k and v gradients of one attention
+    call on random operands; ``shared`` makes q = k = v one tensor, as GBST
+    score calibration does."""
+    reset_tape()
+    rng = np.random.default_rng(seed)
+    width = heads * 16
+    q, k, v = (Tensor(rng.normal(size=(r, width)), requires_grad=True) for r in (n, m, m))
+    if shared:
+        k = v = q
+    mask = random_mask(rng, n, m) if masked else None
+    out = T.multi_head_attention(q, k, v, heads, mask, scale)
+    backward(T.sum_all(T.mul(out, Tensor(rng.normal(size=(n, width))))))
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in (out.data, q.grad, k.grad, v.grad)]
+
+
+@pytest.mark.parametrize(
+    "n, m, heads, masked, seed, scale, shared",
+    [
+        # the long shapes of test_attention_bit_identical_to_unfused_chain
+        (1024, 1024, 4, False, 1, None, False),
+        (232, 1024, 4, False, 2, None, False),
+        (300, 300, 4, True, 3, None, False),
+        (1, 70000, 1, False, 4, None, False),
+        (5000, 1, 1, False, 5, None, False),
+        (5000, 40, 1, True, 6, None, False),
+        (300, 300, 3, True, 7, None, False),  # a pair of heads, then one alone
+        (1024, 10, 1, False, 8, 1.0, True),  # GBST calibration at L = 1024
+    ],
+)
+def test_attention_lane_on_and_off_give_the_same_bits(monkeypatch, n, m, heads, masked, seed, scale, shared):
+    on = attention_hashes(n, m, heads, masked, seed, scale, shared)
+    monkeypatch.setattr(T, "_get_lane", lambda: None)
+    assert attention_hashes(n, m, heads, masked, seed, scale, shared) == on
+    idle = IdleLane()
+    monkeypatch.setattr(T, "_get_lane", lambda: idle)  # the caller takes every job back
+    assert attention_hashes(n, m, heads, masked, seed, scale, shared) == on
+
+
+class IdleLane:
+    """A lane whose thread never starts a job, as when the second core is busy."""
+
+    def __init__(self):
+        self.thread = threading.Thread(target=lambda: None)
+        self.jobs = queue.SimpleQueue()
+
+
+def test_both_returns_both_results_and_raises_the_lanes_error(monkeypatch):
+    assert T._both(lambda: 1, lambda: 2) == (1, 2)
+    with pytest.raises(ZeroDivisionError):
+        T._both(lambda: 1, lambda: 1 / 0)
+    idle = IdleLane()
+    monkeypatch.setattr(T, "_get_lane", lambda: idle)
+    assert T._both(lambda: 1, lambda: 2) == (1, 2)
+    assert idle.jobs.qsize() == 1  # handed out, then taken back
+
+
+def child_attention_hashes_must_be(expected):
+    if attention_hashes(880, 880, 4, False, 11) != expected:
+        raise AssertionError("a forked child computed other bits")
+
+
+def test_child_forked_after_the_lane_ran_finishes_a_long_attention_call():
+    expected = attention_hashes(880, 880, 4, False, 11)  # the lane has run here
+    child = multiprocessing.get_context("fork").Process(target=child_attention_hashes_must_be, args=(expected,))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a child forked after the lane ran hung in attention")
+    assert child.exitcode == 0
+
+
+def test_attention_forward_holds_two_heads_buffers_at_most():
+    # with the lane, head groups of one long head run two at a time; the
+    # forward's peak above what it keeps is two heads' (n, m) probabilities
+    # plus the (heads, n, hd) output, never all heads' probabilities
+    n = m = 512
+    heads = 4
+    rng = np.random.default_rng(19)
+    q, k, v = (Tensor(rng.normal(size=(r, heads * 16)), requires_grad=True) for r in (n, m, m))
+    T.multi_head_attention(q, k, v, heads)  # the lane starts outside the trace
+    reset_tape()
+    tracemalloc.start()
+    try:
+        out = T.multi_head_attention(q, k, v, heads)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert peak - held < 2.25 * n * m * 8
 
 
 @pytest.mark.parametrize("masked", [False, True])

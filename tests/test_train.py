@@ -1,4 +1,8 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -250,3 +254,42 @@ def test_backward_memory_stays_within_the_forward(stack, gbst, batch_size, windo
     bound = max(seen["forward"], grads)
     assert seen["peak"] <= 1.25 * bound
     assert seen["held"] <= grads + 0.01 * bound
+
+
+LONG_BYTES_STEP = """
+import hashlib, os, sys, threading
+if sys.argv[1] == "one_cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from gbst.bytes_data import ByteSequence, load_corpus
+from gbst.cli import bundled_corpus_path
+from gbst.model import ModelState, StackConfig
+from gbst.train import TrainConfig, train_loop
+ids = [b for doc in load_corpus(bundled_corpus_path()) for b in [10] + doc.ids]
+state = ModelState(StackConfig(frontend="identity", max_positions=1024), None, seed=0)
+train_loop(state, [ByteSequence(ids)], TrainConfig(batch_size=1, window_len=1024, steps=1, seed=0))
+h = hashlib.sha256()
+for name, p in state.params.items():
+    h.update(name.encode() + p.data.tobytes())
+print(h.hexdigest(), threading.active_count())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_long_bytes_step_bits_do_not_depend_on_blas_threads_or_cpus():
+    # at L = 1024 attention's products are not round sizes, which OpenBLAS
+    # splits differently at 2 threads; gbst sets one thread at import, and
+    # its lane exists only with two CPUs and never splits a product
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    results = {}
+    for case, threads in (("blas1", "1"), ("blas2", "2"), ("one_cpu", None)):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", LONG_BYTES_STEP, case], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        results[case] = proc.stdout.split()
+    assert results["blas1"][0] == results["blas2"][0] == results["one_cpu"][0]
+    assert results["one_cpu"][1] == "1"  # one CPU: no lane thread
