@@ -27,7 +27,11 @@ Lines printed:
   batch 1 and 32 too;
 - ``decode seed=<s> sha256=<...> max_dev=<...>``: the SHA-256 of the logits
   of 100 one-byte cached greedy ``decode_stack`` steps, and their largest
-  absolute deviation from one teacher-forced pass over the same prefix.
+  absolute deviation from one teacher-forced pass over the same prefix;
+- ``decode ops_per_byte=<n>``: the ops (calls of ``tensor._record``) that
+  each of those steps runs for seed 0, one number when all steps but the
+  first run the same count (the first also projects the memory's keys and
+  values), else each step's count.
 """
 
 import hashlib
@@ -100,21 +104,46 @@ def train_line(name: str, docs: list[ByteSequence]) -> str:
     return f"train {name} sha256={parameter_hash(state.params)} records={shown}"
 
 
-def decode_line(seed: int, docs: list[ByteSequence]) -> str:
+def cached_decode(seed: int, docs: list[ByteSequence]):
+    """The model, the encoder memory of seed's window, the logits of
+    ``DECODE_STEPS`` cached greedy steps and the ``tensor._record`` calls of
+    each step."""
     state = ModelState(StackConfig(), DESK_GBST, seed=0)
     ids = docs[0].ids
     start = int(np.random.default_rng(seed).integers(len(ids) - DECODE_WINDOW))
+    record, ops = T._record, []
+
+    def counted(*args, **kwargs):
+        ops[-1] += 1
+        return record(*args, **kwargs)
+
     with T.no_grad():
         memory, _ = encode_input(state, ids[start : start + DECODE_WINDOW])
         cache, steps, nxt = KVCache(), [], BOS_ID
-        for _ in range(DECODE_STEPS):
-            steps.append(decode_stack(state, memory, [nxt], cache=cache).data)
-            nxt = int(np.argmax(steps[-1][-1]))
-        cached = np.concatenate(steps)
+        T._record = counted
+        try:
+            for _ in range(DECODE_STEPS):
+                ops.append(0)
+                steps.append(decode_stack(state, memory, [nxt], cache=cache).data)
+                nxt = int(np.argmax(steps[-1][-1]))
+        finally:
+            T._record = record
+    return state, memory, np.concatenate(steps), ops
+
+
+def decode_line(seed: int, docs: list[ByteSequence]) -> str:
+    state, memory, cached, _ = cached_decode(seed, docs)
+    with T.no_grad():
         prefix = [BOS_ID] + [int(np.argmax(row)) for row in cached[:-1]]
         full = decode_stack(state, memory, prefix).data
     digest = hashlib.sha256(cached.tobytes()).hexdigest()
     return f"decode seed={seed} sha256={digest} max_dev={np.abs(cached - full).max():.3e}"
+
+
+def decode_ops_line(docs: list[ByteSequence]) -> str:
+    *_, ops = cached_decode(DECODE_SEEDS[0], docs)
+    shown = str(ops[1]) if len(set(ops[1:])) == 1 else ",".join(map(str, ops))
+    return f"decode ops_per_byte={shown}"
 
 
 def env_line() -> str:
@@ -132,6 +161,7 @@ def main() -> None:
         print(train_line(name, docs), flush=True)
     for seed in DECODE_SEEDS:
         print(decode_line(seed, docs), flush=True)
+    print(decode_ops_line(docs), flush=True)
 
 
 if __name__ == "__main__":

@@ -120,7 +120,9 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    values = {}
+    """The ``RunConfig`` of a config file's text; a key given twice is a
+    ``ConfigError``, not a silent override."""
+    values, seen = {}, {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -129,6 +131,9 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
+        if key in seen:
+            raise ConfigError(f"config key {key} given twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         values[key] = _parse_value(key, raw)
     return RunConfig(**values)
 

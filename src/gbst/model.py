@@ -1,7 +1,9 @@
 """Encoder-decoder transformer over downsampled latent subwords.
 
 Pre-norm residual blocks with GELU feed-forward layers and learned absolute
-positional embeddings. The byte embedding table is shared between the
+positional embeddings. Each residual feed-forward block, residual sum
+included, is one ``tensor.ffn`` op, which keeps the bits of the chain of
+six ops it replaces. The byte embedding table is shared between the
 encoder frontend and the decoder input; the output projection is separate.
 The frontend is either the soft tokenization layer ("gbst") or a plain byte
 embedding ("identity", the undownsampled baseline).
@@ -219,9 +221,10 @@ def _attention(
     return T.matmul(T.cached_attention(q, k, v, heads, mask), wo)
 
 
-def _ffn(x: Tensor, state: ModelState, prefix: str) -> Tensor:
-    hidden = T.gelu(T.add(T.matmul(x, state[f"{prefix}.w1"]), state[f"{prefix}.b1"]))
-    return T.add(T.matmul(hidden, state[f"{prefix}.w2"]), state[f"{prefix}.b2"])
+def _ffn(x: Tensor, state: ModelState, prefix: str, ln: str) -> Tensor:
+    """``x`` plus the feed-forward block ``prefix`` of its layer norm ``ln``."""
+    weights = (state[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    return T.ffn(_ln(x, state, ln), *weights, x)
 
 
 def _ln(x: Tensor, state: ModelState, prefix: str) -> Tensor:
@@ -246,7 +249,7 @@ def encode_stack(state: ModelState, x: Tensor) -> Tensor:
     for i in range(state.stack.encoder_layers):
         normed = _ln(x, state, f"enc{i}.ln1")
         x = T.add(x, _attention(normed, normed, state, f"enc{i}.attn"))
-        x = T.add(x, _ffn(_ln(x, state, f"enc{i}.ln2"), state, f"enc{i}.ffn"))
+        x = _ffn(x, state, f"enc{i}.ffn", f"enc{i}.ln2")
     return x
 
 
@@ -312,7 +315,7 @@ def decode_stack(
         x = T.add(x, _attention(normed, normed, state, f"dec{i}.self", mask, cache))
         normed = _ln(x, state, f"dec{i}.ln2")
         x = T.add(x, _attention(normed, memory, state, f"dec{i}.cross", None, cache))
-        x = T.add(x, _ffn(_ln(x, state, f"dec{i}.ln3"), state, f"dec{i}.ffn"))
+        x = _ffn(x, state, f"dec{i}.ffn", f"dec{i}.ln3")
     if cache is not None:
         cache.length = t + n
     return T.matmul(x, state["out_proj"])

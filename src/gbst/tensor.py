@@ -10,18 +10,25 @@ A tensor that requires a gradient keeps it in a ``GradSlot``, its ``grad``
 and ``requires_grad``; an op output gets one only when it is recorded. A
 record holds its output's slot, not the output, and a rule captures only
 the slots of its inputs and the arrays it reads: ``matmul``, ``mul``,
-``gelu`` and ``block_mix`` read their operands; ``block_scores`` its
-operands and its output, the softmax of the scores it returns untaped;
-``layer_norm`` its normalized rows, ``conv1d_same`` its padded copy of the
-input, attention its head-split copies and the loss its exponentials;
-``add``, ``add_positions``, ``sum_all``, ``pack``, ``mean_pool_1d``,
-``block_means`` and ``embedding_gather`` read only shapes, offsets, stream
-spans and ids. So an op output's array lives while a rule reads it or a
-caller holds it: a projection that attention copies, or a residual sum
-that only ``layer_norm`` and the next add take, dies during the forward. A
-rule binds what it keeps of its inputs as default arguments, so its
-signature names all of it; binding them makes no closure cells, which
-every untaped op of greedy decoding would pay for.
+``gelu`` and ``block_mix`` read their operands; ``ffn`` its input ``x``,
+its weights, its pre-activation ``h`` and its GELU ``cdf``;
+``block_scores`` its operands and its output, the softmax of the scores it
+returns untaped; ``layer_norm`` its normalized rows, ``conv1d_same`` its
+padded copy of the input, attention its head-split copies and the loss its
+exponentials; ``add``, ``add_positions``, ``sum_all``, ``pack``,
+``mean_pool_1d``, ``block_means`` and ``embedding_gather`` read only
+shapes, offsets, stream spans and ids. So an op output's array lives while
+a rule reads it or a caller holds it: a projection that attention copies,
+or a residual sum that only ``layer_norm`` and the next op take, dies
+during the forward. A rule binds what it keeps of its inputs as default
+arguments, so its signature names all of it; binding them makes no closure
+cells, which every untaped op of greedy decoding would pay for.
+
+A rule that makes a fresh gradient nothing else holds (the input gradients
+of ``matmul``, attention, ``layer_norm``, ``ffn`` and the loss) hands it to
+``_accumulate`` as owned: a first write adopts it instead of copying it. A
+gradient that a rule passes on unchanged (``add``, ``pack``,
+``add_positions``) is copied, since the slot it came from still holds it.
 
 ``backward`` consumes the tape: once a record's rule has run, the record
 keeps only its op name, so the arrays the rule read and every gradient
@@ -36,19 +43,21 @@ decoding, which runs on head-split views of its key and value rows.
 round a product over a strided view differently from one over a contiguous
 copy, and training keeps the bits of the per-head op chain. Its record
 saves those head-split copies, but not its (heads, n, m) probabilities,
-which its backward recomputes one head group at a time, bit for bit: the
-one place that trades time for memory.
+which its backward recomputes one head group at a time, bit for bit. The
+one other place that trades time for memory is ``ffn``, whose backward
+computes its GELU output ``h * cdf`` again.
 
 A packed tensor holds the rows of several examples, stacked: ``pack`` makes
 one, and its ``offsets`` give each segment's first row plus the end (an
 unpacked tensor, ``offsets`` None, is one segment). ``matmul``, ``add``,
-``add_positions``, ``layer_norm``, ``gelu`` and ``multi_head_attention``
-keep the offsets of their row operand, and ``cross_entropy_with_logits``
-reads them. Each op is one record for the whole batch and keeps the bits of
-one record per example: elementwise and row-wise work (adds, ``gelu``,
-``layer_norm``'s rows, the loss's softmax) is one numpy call over all rows,
-which rounds each row as a call over that example alone would; matrix
-products, attention and the loss's sums run segment by segment; and a
+``add_positions``, ``layer_norm``, ``gelu``, ``ffn`` and
+``multi_head_attention`` keep the offsets of their row operand, and
+``cross_entropy_with_logits`` reads them. Each op is one record for the
+whole batch and keeps the bits of one record per example: elementwise and
+row-wise work (adds, ``gelu``, ``layer_norm``'s rows, the loss's softmax)
+is one numpy call over all rows, which rounds each row as a call over that
+example alone would; matrix products, attention and the loss's sums run
+segment by segment; and a
 gradient that sums over rows (a weight, a bias, a gain, a table of
 positions) is taken segment by segment and added in reverse segment order,
 the order in which a tape of one record per example adds them. One product
@@ -356,27 +365,34 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
+def _taped(inputs) -> bool:
+    """Whether an op over ``inputs`` records: gradients are enabled and an
+    input requires one."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _record(name: str, out_data: np.ndarray, inputs, backward_fn, offsets=None) -> Tensor:
-    """The output tensor of an op; when an input requires a gradient (and
-    gradients are enabled), it gets a ``GradSlot``, which the tape records
-    with the rule. An output that is not recorded gets no slot."""
+    """The output tensor of an op; when ``_taped(inputs)``, it gets a
+    ``GradSlot``, which the tape records with the rule. An output that is
+    not recorded gets no slot."""
     _check_finite(out_data, name)
     out = Tensor(out_data, offsets=offsets)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _taped(inputs):
         out.slot = GradSlot()
         _tape.records.append((out.slot, backward_fn, name))
     return out
 
 
-def _accumulate(slot, g: np.ndarray) -> None:
+def _accumulate(slot, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` to the gradient of ``slot`` (a ``GradSlot``, a tensor or
-    None) if it requires one."""
+    None) if it requires one. An ``owned`` ``g`` is a fresh row-major array
+    that the rule made and nothing else holds: a first write adopts it."""
     if slot is None or not slot.requires_grad:
         return
     if slot.grad is None:
         # the bits of zeros + g, -0.0 turned to +0.0 included, without the zero
         # fill; row-major whatever g's layout, as the operand's array is
-        slot.grad = np.add(g, 0.0, out=np.empty(g.shape))
+        slot.grad = np.add(g, 0.0, out=g if owned else np.empty(g.shape))
     else:
         slot.grad += g
 
@@ -477,7 +493,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _segment_products(a.offsets, a.data, b.data)
 
     def _bw(g, ad=a.data, bd=b.data, sa=a.slot, sb=b.slot, offsets=a.offsets):
-        _accumulate(sa, _segment_products(offsets, g, bd.T))
+        _accumulate(sa, _segment_products(offsets, g, bd.T), owned=True)
         _accumulate(sb, _sum_segments(offsets, len(g), lambda r: ad[r].T @ g[r]))
 
     return _record("matmul", out, (a, b), _bw, a.offsets)
@@ -913,10 +929,13 @@ def multi_head_attention(
                     lambda: np.matmul(p.transpose(0, 2, 1), go[hs]),
                 )
                 gv[k0:k1, hs] = gvh.transpose(1, 0, 2)
-                # with the lane, blocks of half the rows: the two (sb * pb)
-                # temporaries in flight hold what one does without it; the
-                # blocks' size changes no bit of these row-wise passes
-                step = max(1, BLOCK // ((2 if pair is _both else 1) * count * keys))
+                del gvh
+                # a block's (sb * pb) temporary holds BLOCK/4 elements on this
+                # thread alone, a quarter of what a group may hold, and BLOCK/2
+                # on each side of the lane, where smaller blocks of a long
+                # head cost time; the blocks' size changes no bit of these
+                # row-wise passes
+                step = max(1, BLOCK // ((2 if pair is _both else 4) * count * keys))
 
                 def block(r):
                     sb, pb = s[:, r : r + step], p[:, r : r + step]
@@ -934,9 +953,9 @@ def multi_head_attention(
                 gk[k0:k1, hs] = gkh.transpose(2, 0, 1)
         # the chain's order (v, then q, then k's transpose): it keeps the bits
         # of a gradient when q, k and v are one tensor, as in calibration
-        _accumulate(sv, gv.reshape(m, width))
-        _accumulate(sq, gq.reshape(n, width))
-        _accumulate(sk, gk.reshape(m, width))
+        _accumulate(sv, gv.reshape(m, width), owned=True)
+        _accumulate(sq, gq.reshape(n, width), owned=True)
+        _accumulate(sk, gk.reshape(m, width), owned=True)
 
     out = outs[0] if len(outs) == 1 else np.concatenate(outs)
     return _record("multi_head_attention", out, (q, k, v), _bw, q.offsets)
@@ -1000,7 +1019,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dxhat = g * gd
         term = dxhat - dxhat.mean(axis=-1, keepdims=True)
         term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(sx, inv * term)
+        _accumulate(sx, inv * term, owned=True)
 
     return _record("layer_norm", out, (x, gain, bias), _bw, x.offsets)
 
@@ -1015,6 +1034,70 @@ def gelu(x: Tensor) -> Tensor:
         _accumulate(sx, g * (cdf + xd * pdf))
 
     return _record("gelu", out, (x,), _bw, x.offsets)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Tensor) -> Tensor:
+    """``residual + (gelu(x @ w1 + b1) @ w2 + b2)``, a residual feed-forward
+    block, as one op: the numpy operations of the chain of ``matmul``,
+    ``add``, ``gelu``, ``matmul``, ``add`` and ``add`` ops, in its order, so
+    it is bit-identical to that chain, forward and backward. Its products run
+    segment by segment, and it keeps the offsets of ``x``, which must be
+    those of ``residual``.
+
+    The record saves ``x``, the pre-activation ``h`` and the GELU ``cdf``,
+    not the GELU output ``h * cdf``, which the backward computes again for
+    ``w2``'s gradient and drops. Untaped, ``h`` and ``cdf`` die before the
+    second product."""
+    if x.data.ndim != 2 or w2.data.ndim != 2 or residual.offsets != x.offsets:
+        raise ShapeError("ffn needs a 2-D x and w2, and the offsets of x on residual")
+    (n, d), (f, d_out) = x.shape, w2.shape
+    if (w1.shape, b1.shape, b2.shape, residual.shape) != ((d, f), (f,), (d_out,), (n, d_out)):
+        raise ShapeError(
+            f"ffn operands do not fit: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape},"
+            f" b2 {b2.shape}, residual {residual.shape}"
+        )
+    offsets = x.offsets
+    inputs = (x, w1, b1, w2, b2, residual)
+    h = _segment_products(offsets, x.data, w1.data)
+    h += b1.data
+    cdf = h / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if _taped(inputs):
+        act = h * cdf
+    else:  # no rule reads h or cdf
+        act, h, cdf = np.multiply(h, cdf, out=h), None, None
+    _check_finite(act, "ffn")
+    out = _segment_products(offsets, act, w2.data)
+    out += b2.data
+    out += residual.data
+
+    def _bw(g, xd=x.data, w1d=w1.data, w2d=w2.data, h=h, cdf=cdf, offsets=offsets,
+            slots=tuple(t.slot for t in inputs)):
+        sx, sw1, sb1, sw2, sb2, sr = slots
+        rows = len(g)
+        _accumulate(sr, g)
+        _accumulate(sb2, _sum_segments(offsets, rows, lambda r: g[r].sum(axis=0)))
+        act = h * cdf
+        _accumulate(sw2, _sum_segments(offsets, rows, lambda r: act[r].T @ g[r]))
+        del act
+        # GELU's derivative cdf + h * pdf(h) into h's own buffer, which the
+        # rule, run once, reads no more: three wide arrays at a time
+        t = h * -0.5
+        t *= h
+        np.exp(t, out=t)
+        t /= _SQRT_2PI
+        h *= t
+        del t
+        h += cdf
+        gh = _segment_products(offsets, g, w2d.T)
+        gh *= h
+        _accumulate(sb1, _sum_segments(offsets, rows, lambda r: gh[r].sum(axis=0)))
+        _accumulate(sx, _segment_products(offsets, gh, w1d.T), owned=True)
+        _accumulate(sw1, _sum_segments(offsets, rows, lambda r: xd[r].T @ gh[r]))
+
+    return _record("ffn", out, inputs, _bw, offsets)
 
 
 def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
@@ -1045,9 +1128,11 @@ def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") 
     out = total / n if reduction == "mean" else total
 
     def _bw(g, sl=logits.slot):
-        p = e / norm
+        # the softmax less the one-hot targets, in e's own buffer, which the
+        # rule, run once, reads no more
+        p = np.divide(e, norm, out=e)
         p[np.arange(n), ids] -= 1.0
-        scale = float(g) / n if reduction == "mean" else float(g)
-        _accumulate(sl, p * scale)
+        p *= float(g) / n if reduction == "mean" else float(g)
+        _accumulate(sl, p, owned=True)
 
     return _record("cross_entropy_with_logits", np.asarray(out), (logits,), _bw)

@@ -24,7 +24,10 @@ seed = 0
 
 
 def write_config(tmp_path, text, name="run.cfg", **overrides):
-    body = text
+    """``text`` with each override's key line dropped and the override appended:
+    a key given twice is an error."""
+    lines = [line for line in text.split("\n") if line.split("=", 1)[0].strip() not in overrides]
+    body = "\n".join(lines)
     for key, value in overrides.items():
         body += f"\n{key} = {value}\n"
     path = tmp_path / name
@@ -60,6 +63,11 @@ def test_boolean_and_none_values():
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just words\n")
+
+
+def test_key_given_twice_is_named_with_both_lines():
+    with pytest.raises(ConfigError, match=r"seed given twice, on lines 2 and 4"):
+        parse_config_text("# two seeds\nseed = 1\nsteps = 3\nseed = 2\n")
 
 
 def test_resolve_defaults_differ_by_command():
@@ -98,6 +106,15 @@ def test_invalid_config_key_exits_2(tmp_path, capsys):
     code = main(["pretrain", "--config", bad, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "not_a_key" in capsys.readouterr().err
+
+
+def test_key_given_twice_exits_2_and_writes_nothing(tmp_path, capsys):
+    bad = write_config(tmp_path, TINY + "\nseed = 2\n")
+    out = tmp_path / "out"
+    assert main(["pretrain", "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed given twice" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_rerun_same_seed_byte_identical(tmp_path):
@@ -316,7 +333,7 @@ def test_gradcheck_cli(capsys):
 
 
 def test_gradcheck_negative_control(capsys):
-    assert main(["gradcheck", "--seed", "0", "--corrupt", "gelu"]) == 1
+    assert main(["gradcheck", "--seed", "0", "--corrupt", "ffn"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

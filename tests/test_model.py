@@ -480,7 +480,7 @@ def test_gradcheck_both_frontends():
 
 
 def test_gradcheck_negative_control():
-    report, ok = run_suite(seeds=[0], corrupt_op="gelu")
+    report, ok = run_suite(seeds=[0], corrupt_op="ffn")
     assert not ok
     assert max(report.values()) > DEFAULT_TOLERANCE
 

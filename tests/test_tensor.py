@@ -738,7 +738,7 @@ def test_no_rule_of_a_packed_model_loss_keeps_a_tensor():
         kept += [name for _ in tensors([c.cell_contents for c in fn.__closure__ or ()])]
         kept += [name for _ in tensors(fn.__defaults__)]
     assert kept == []
-    assert len(names) == 14  # every recording op but mul and sum_all
+    assert len(names) == 14  # every recording op but mul, sum_all and gelu
 
 
 def test_backward_keeps_the_grad_of_a_held_intermediate():
@@ -895,6 +895,123 @@ def test_gelu_gradient_vs_fd():
     rng = np.random.default_rng(15)
     x = Parameter("x", rng.normal(size=(5, 3)))
     check_op_grad(lambda: T.sum_all(T.gelu(x)), [x])
+
+
+# --- ffn ---------------------------------------------------------------------
+
+
+def ffn_chain(x, w1, b1, w2, b2, residual):
+    """The chain of ops that ffn replaces."""
+    hidden = T.gelu(T.add(T.matmul(x, w1), b1))
+    return T.add(residual, T.add(T.matmul(hidden, w2), b2))
+
+
+def ffn_hashes(op, counts, d, f, seed, frozen=(), shared=False):
+    """SHA-256 of the output and of every gradient of ``op`` over rows packed
+    at ``counts`` (unpacked for one count), against a random upstream
+    gradient. ``frozen`` names weights that require no gradient; ``shared``
+    takes x as the layer norm of the residual, as the model does, so the
+    residual's gradient adds both paths."""
+    rng = np.random.default_rng(seed)
+    shapes = {"w1": (d, f), "b1": (f,), "w2": (f, d), "b2": (d,)}
+    params = {name: Parameter(name, rng.normal(size=shape)) for name, shape in shapes.items()}
+    for name in frozen:
+        params[name].requires_grad = False
+    rows = [[Tensor(rng.normal(size=(n, d)), requires_grad=True) for n in counts] for _ in range(2)]
+    residual = T.pack(rows[0])
+    x = T.layer_norm(residual, Tensor(np.ones(d)), Tensor(np.zeros(d))) if shared else T.pack(rows[1])
+    out = op(x, *params.values(), residual)
+    backward(T.sum_all(T.mul(out, Tensor(rng.normal(size=out.shape)))))
+    grads = [t.grad for t in rows[0] + ([] if shared else rows[1])] + [p.grad for p in params.values()]
+    reset_tape()
+    return [hashlib.sha256(out.data.tobytes()).hexdigest()] + [
+        None if g is None else hashlib.sha256(g.tobytes()).hexdigest() for g in grads
+    ]
+
+
+@pytest.mark.parametrize(
+    "counts, frozen, shared",
+    [
+        ((9, 1, 30), (), False),  # packed, one segment a single row
+        ((9, 1, 30), (), True),
+        ((17,), (), False),  # unpacked
+        ((1,), (), True),
+        ((12, 5), ("w1",), False),  # a frozen weight
+        ((12, 5), ("w2", "b1"), True),
+    ],
+)
+def test_ffn_bit_identical_to_chain(counts, frozen, shared):
+    for d, f in ((8, 32), (64, 256)):
+        chain = ffn_hashes(ffn_chain, counts, d, f, 23, frozen, shared)
+        assert ffn_hashes(T.ffn, counts, d, f, 23, frozen, shared) == chain
+        assert [h is None for h in chain[-4:]] == [name in frozen for name in ("w1", "b1", "w2", "b2")]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    d=st.sampled_from([1, 8, 16, 64]),
+    f=st.sampled_from([1, 24, 64, 256]),
+    shared=st.booleans(),
+)
+def test_ffn_bit_identical_to_chain_over_shapes(counts, d, f, shared):
+    fused, chain = (ffn_hashes(op, counts, d, f, 24, (), shared) for op in (T.ffn, ffn_chain))
+    assert fused == chain
+
+
+def ffn_operands(rng, n=4, d=3, f=5):
+    x, residual = (Parameter(name, rng.normal(size=(n, d))) for name in ("x", "residual"))
+    shapes = {"w1": (d, f), "b1": (f,), "w2": (f, d), "b2": (d,)}
+    return [x, *(Parameter(name, rng.normal(size=shape)) for name, shape in shapes.items()), residual]
+
+
+def test_ffn_gradient_vs_fd():
+    rng = np.random.default_rng(25)
+    operands = ffn_operands(rng)
+    w = Tensor(rng.normal(size=(4, 3)))
+    check_op_grad(lambda: T.sum_all(T.mul(T.ffn(*operands), w)), operands)
+
+
+def test_ffn_nan_input_raises_naming_ffn():
+    operands = ffn_operands(np.random.default_rng(26))
+    operands[0].data[1, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="ffn"):
+        T.ffn(*operands)
+
+
+def test_ffn_rule_keeps_x_h_and_cdf_only():
+    # besides the weights, the rule binds x, the pre-activation h and the
+    # GELU cdf, and not the GELU output, which its backward computes again
+    x, w1, b1, w2, b2, residual = ffn_operands(np.random.default_rng(27), n=6, d=4, f=7)
+    T.ffn(x, w1, b1, w2, b2, residual)
+    (_, fn, name), = T.active_tape().records
+    assert name == "ffn"
+    bound = [c.cell_contents for c in fn.__closure__ or ()] + list(fn.__defaults__)
+    arrays = [a for a in bound if isinstance(a, np.ndarray) and a is not w1.data and a is not w2.data]
+    h = x.data @ w1.data + b1.data
+    cdf = 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
+    assert [a.tobytes() for a in arrays[1:]] == [h.tobytes(), cdf.tobytes()]
+    assert arrays[0] is x.data
+
+
+def test_ffn_records_nothing_under_no_grad():
+    operands = ffn_operands(np.random.default_rng(28))
+    taped = T.ffn(*operands)
+    reset_tape()
+    with no_grad():
+        out = T.ffn(*operands)
+    assert len(T.active_tape()) == 0 and not out.requires_grad
+    assert out.data.tobytes() == taped.data.tobytes()
+
+
+def test_ffn_shape_errors():
+    x, w1, b1, w2, b2, residual = ffn_operands(np.random.default_rng(29))
+    with pytest.raises(ShapeError):
+        T.ffn(x, w1, b1, w2, b2, Tensor(np.zeros((4, 5))))
+    with pytest.raises(ShapeError):
+        T.ffn(x, w2, b1, w2, b2, residual)
+    with pytest.raises(ShapeError, match="offsets"):
+        T.ffn(T.pack([Tensor(x.data[:1]), Tensor(x.data[1:])]), w1, b1, w2, b2, residual)
 
 
 def test_cross_entropy_values_and_gradient():
