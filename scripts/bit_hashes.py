@@ -20,8 +20,10 @@ Lines printed:
 - ``init <name> sha256=<...>``: the SHA-256 over every parameter's name and
   float64 bytes of ``init_gbst_params`` at ``default_rng(0)``, the GBST-only
   init of the oracle suite, for a small config with and without a conv;
-- ``train <config> sha256=<...> records=<...>``: the SHA-256 over every
-  parameter's name and float64 bytes after ``train_loop``, and the tape
+- ``train <config> sha256=<...> loss_sha256=<...> records=<...>``: the
+  SHA-256 over every parameter's name and float64 bytes after
+  ``train_loop``, the SHA-256 over the float64 bytes of the loss each step
+  returned, in step order (what ``metrics.log`` reports), and the tape
   records of each step (one number when all steps record the same count),
   for the benchmark's three training configs and for the desk config at
   batch 1 and 32 too;
@@ -98,10 +100,11 @@ def train_line(name: str, docs: list[ByteSequence]) -> str:
     state = ModelState(stack, gbst, seed=0)
     cfg = TrainConfig(batch_size=batch, window_len=window, steps=steps, seed=0)
     records: list[int] = []
-    train_loop(state, docs, cfg, log_fn=lambda _: records.append(len(T.active_tape())))
+    history = train_loop(state, docs, cfg, log_fn=lambda _: records.append(len(T.active_tape())))
+    losses = hashlib.sha256(np.array([rec.loss for rec in history], dtype=np.float64).tobytes()).hexdigest()
     counts = sorted(set(records))
     shown = str(counts[0]) if len(counts) == 1 else ",".join(map(str, records))
-    return f"train {name} sha256={parameter_hash(state.params)} records={shown}"
+    return f"train {name} sha256={parameter_hash(state.params)} loss_sha256={losses} records={shown}"
 
 
 def cached_decode(seed: int, docs: list[ByteSequence]):

@@ -3,9 +3,11 @@
 Pre-norm residual blocks with GELU feed-forward layers and learned absolute
 positional embeddings. Each residual feed-forward block, residual sum
 included, is one ``tensor.ffn`` op, which keeps the bits of the chain of
-six ops it replaces. The byte embedding table is shared between the
-encoder frontend and the decoder input; the output projection is separate.
-The frontend is either the soft tokenization layer ("gbst") or a plain byte
+six ops it replaces; an attention block's residual sum is inside its output
+projection, a ``matmul`` with a residual, which keeps the bits of the
+product and an add. The byte embedding table is shared between the encoder
+frontend and the decoder input; the output projection is separate. The
+frontend is either the soft tokenization layer ("gbst") or a plain byte
 embedding ("identity", the undownsampled baseline).
 """
 
@@ -198,10 +200,12 @@ def _attention(
     x_kv: Tensor,
     state: ModelState,
     prefix: str,
+    residual: Tensor,
     mask: np.ndarray | None = None,
     cache: KVCache | None = None,
 ) -> Tensor:
-    """Multi-head attention of ``x_q`` over ``x_kv``. With a cache it runs
+    """``residual`` plus the multi-head attention of ``x_q`` over ``x_kv``;
+    the sum is the output projection's ``matmul``. With a cache it runs
     ``cached_attention``: self-attention (``x_kv is x_q``) first writes the
     K/V of the new rows into the cache, and cross-attention projects the
     memory's K/V on its first call only and keeps them in the cache."""
@@ -213,12 +217,12 @@ def _attention(
         k = T.matmul(x_kv, state[f"{prefix}.wk"])
         v = T.matmul(x_kv, state[f"{prefix}.wv"])
         if cache is None:
-            return T.matmul(T.multi_head_attention(q, k, v, heads, mask), wo)
+            return T.matmul(T.multi_head_attention(q, k, v, heads, mask), wo, residual)
         if x_kv is x_q:
             k, v = cache.write(prefix, k.data, v.data)
         else:
             k, v = cache.kv[prefix] = k.data, v.data
-    return T.matmul(T.cached_attention(q, k, v, heads, mask), wo)
+    return T.matmul(T.cached_attention(q, k, v, heads, mask), wo, residual)
 
 
 def _ffn(x: Tensor, state: ModelState, prefix: str, ln: str) -> Tensor:
@@ -248,7 +252,7 @@ def encode_stack(state: ModelState, x: Tensor) -> Tensor:
     x = T.add_positions(x, state["pos_enc"])
     for i in range(state.stack.encoder_layers):
         normed = _ln(x, state, f"enc{i}.ln1")
-        x = T.add(x, _attention(normed, normed, state, f"enc{i}.attn"))
+        x = _attention(normed, normed, state, f"enc{i}.attn", x)
         x = _ffn(x, state, f"enc{i}.ffn", f"enc{i}.ln2")
     return x
 
@@ -312,9 +316,9 @@ def decode_stack(
     mask = causal_mask(n, t) if n > 1 else None  # one row sees every key
     for i in range(state.stack.decoder_layers):
         normed = _ln(x, state, f"dec{i}.ln1")
-        x = T.add(x, _attention(normed, normed, state, f"dec{i}.self", mask, cache))
+        x = _attention(normed, normed, state, f"dec{i}.self", x, mask, cache)
         normed = _ln(x, state, f"dec{i}.ln2")
-        x = T.add(x, _attention(normed, memory, state, f"dec{i}.cross", None, cache))
+        x = _attention(normed, memory, state, f"dec{i}.cross", x, None, cache)
         x = _ffn(x, state, f"dec{i}.ffn", f"dec{i}.ln3")
     if cache is not None:
         cache.length = t + n

@@ -9,13 +9,13 @@ every tensor that requires them.
 A tensor that requires a gradient keeps it in a ``GradSlot``, its ``grad``
 and ``requires_grad``; an op output gets one only when it is recorded. A
 record holds its output's slot, not the output, and a rule captures only
-the slots of its inputs and the arrays it reads: ``matmul``, ``mul``,
-``gelu`` and ``block_mix`` read their operands; ``ffn`` its input ``x``,
-its weights, its pre-activation ``h`` and its GELU ``cdf``;
-``block_scores`` its operands and its output, the softmax of the scores it
-returns untaped; ``layer_norm`` its normalized rows, ``conv1d_same`` its
-padded copy of the input, attention its head-split copies and the loss its
-exponentials; ``add``, ``add_positions``, ``sum_all``, ``pack``,
+the slots of its inputs and the arrays it reads: ``matmul``, ``gelu`` and
+``block_mix`` read their operands (``matmul`` not the residual it may
+take); ``ffn`` its input ``x``, its weights, its pre-activation ``h`` and
+its GELU ``cdf``; ``block_scores`` its operands and its output, the softmax
+of the scores it returns untaped; ``layer_norm`` its normalized rows,
+``conv1d_same`` its padded copy of the input, attention its head-split
+copies and the loss its exponentials; ``add_positions``, ``pack``,
 ``mean_pool_1d``, ``block_means`` and ``embedding_gather`` read only
 shapes, offsets, stream spans and ids. So an op output's array lives while
 a rule reads it or a caller holds it: a projection that attention copies,
@@ -27,8 +27,9 @@ cells, which every untaped op of greedy decoding would pay for.
 A rule that makes a fresh gradient nothing else holds (the input gradients
 of ``matmul``, attention, ``layer_norm``, ``ffn`` and the loss) hands it to
 ``_accumulate`` as owned: a first write adopts it instead of copying it. A
-gradient that a rule passes on unchanged (``add``, ``pack``,
-``add_positions``) is copied, since the slot it came from still holds it.
+gradient that a rule passes on unchanged (to the residual of ``matmul`` or
+``ffn``, by ``pack`` and by ``add_positions``) is copied, since the slot it
+came from still holds it.
 
 ``backward`` consumes the tape: once a record's rule has run, the record
 keeps only its op name, so the arrays the rule read and every gradient
@@ -49,7 +50,7 @@ computes its GELU output ``h * cdf`` again.
 
 A packed tensor holds the rows of several examples, stacked: ``pack`` makes
 one, and its ``offsets`` give each segment's first row plus the end (an
-unpacked tensor, ``offsets`` None, is one segment). ``matmul``, ``add``,
+unpacked tensor, ``offsets`` None, is one segment). ``matmul``,
 ``add_positions``, ``layer_norm``, ``gelu``, ``ffn`` and
 ``multi_head_attention`` keep the offsets of their row operand, and
 ``cross_entropy_with_logits`` reads them. Each op is one record for the
@@ -422,21 +423,6 @@ def _sum_segments(offsets: tuple[int, ...] | None, rows: int, term) -> np.ndarra
     return total
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...], offsets: tuple[int, ...] | None = None) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape, segment by
-    segment of the rows of ``g`` if they are packed at ``offsets``."""
-    if g.shape == shape:
-        return g
-    if offsets is not None:
-        return _sum_segments(offsets, len(g), lambda r: _reduce_to(g[r], shape))
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def backward(loss: Tensor) -> None:
     """Populate gradients of everything reachable from a scalar loss.
 
@@ -483,55 +469,36 @@ def _segment_products(offsets, left: np.ndarray, right: np.ndarray) -> np.ndarra
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors; it keeps the offsets of ``a``, and
-    every product it takes runs segment by segment."""
+def matmul(a: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
+    """Matrix product of two 2-D tensors, plus ``residual`` when one is
+    given; it keeps the offsets of ``a``, and every product it takes runs
+    segment by segment.
+
+    ``residual`` must have the output's shape and ``a``'s offsets. It is
+    added into the product's own buffer, and its gradient is the output's,
+    passed on first, as the rule of an add after the product would: so the
+    op has the bits of that add over the product, forward and backward."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = _segment_products(a.offsets, a.data, b.data)
+    inputs, sr = (a, b), None
+    if residual is not None:
+        if residual.shape != out.shape or residual.offsets != a.offsets:
+            raise ShapeError(
+                f"matmul residual must have shape {out.shape} and offsets {a.offsets},"
+                f" got {residual.shape} and {residual.offsets}"
+            )
+        out += residual.data
+        inputs, sr = (a, b, residual), residual.slot
 
-    def _bw(g, ad=a.data, bd=b.data, sa=a.slot, sb=b.slot, offsets=a.offsets):
+    def _bw(g, ad=a.data, bd=b.data, sa=a.slot, sb=b.slot, sr=sr, offsets=a.offsets):
+        _accumulate(sr, g)
         _accumulate(sa, _segment_products(offsets, g, bd.T), owned=True)
         _accumulate(sb, _sum_segments(offsets, len(g), lambda r: ad[r].T @ g[r]))
 
-    return _record("matmul", out, (a, b), _bw, a.offsets)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of broadcastable operands (a row vector against a
-    matrix, a 0-d tensor against anything). It keeps the offsets of ``a``."""
-    out = a.data + b.data
-
-    def _bw(g, sa=a.slot, sb=b.slot, a_shape=a.data.shape, b_shape=b.data.shape, offsets=a.offsets):
-        _accumulate(sa, _reduce_to(g, a_shape, offsets))
-        _accumulate(sb, _reduce_to(g, b_shape, offsets))
-
-    return _record("add", out, (a, b), _bw, a.offsets)
-
-
-def mul(a: Tensor, b: Tensor | float) -> Tensor:
-    """Elementwise product, with the broadcasting of ``add``; a Python
-    scalar ``b`` becomes the constant ``Tensor(float(b))``."""
-    if not isinstance(b, Tensor):
-        b = Tensor(float(b))
-    out = a.data * b.data
-
-    def _bw(g, ad=a.data, bd=b.data, sa=a.slot, sb=b.slot):
-        _accumulate(sa, _reduce_to(g * bd, ad.shape))
-        _accumulate(sb, _reduce_to(g * ad, bd.shape))
-
-    return _record("mul", out, (a, b), _bw)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = x.data.sum()
-
-    def _bw(g, sx=x.slot, shape=x.data.shape):
-        _accumulate(sx, np.full(shape, float(g)))
-
-    return _record("sum_all", np.asarray(out), (x,), _bw)
+    return _record("matmul", out, inputs, _bw, a.offsets)
 
 
 def pack(parts: list[Tensor]) -> Tensor:
@@ -1040,9 +1007,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     """``residual + (gelu(x @ w1 + b1) @ w2 + b2)``, a residual feed-forward
     block, as one op: the numpy operations of the chain of ``matmul``,
     ``add``, ``gelu``, ``matmul``, ``add`` and ``add`` ops, in its order, so
-    it is bit-identical to that chain, forward and backward. Its products run
-    segment by segment, and it keeps the offsets of ``x``, which must be
-    those of ``residual``.
+    it is bit-identical to that chain, the tests' reference, forward and
+    backward. Its products run segment by segment, and it keeps the offsets
+    of ``x``, which must be those of ``residual``.
 
     The record saves ``x``, the pre-activation ``h`` and the GELU ``cdf``,
     not the GELU output ``h * cdf``, which the backward computes again for
@@ -1104,7 +1071,9 @@ def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") 
     """Token-level cross entropy in nats against integer targets.
 
     ``reduction`` is "mean" (per-token average) or "sum". Packed logits are
-    summed segment by segment, and the sums added in segment order.
+    summed segment by segment, and the sums added in segment order. The mean
+    multiplies that total by 1/n, the factor its backward scales by, so it
+    has the bits of the sum times the constant 1/n, forward and backward.
     """
     ids = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2:
@@ -1125,7 +1094,7 @@ def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") 
     for start, stop in segments(logits):
         part = losses[start:stop].sum()
         total = part if total is None else total + part
-    out = total / n if reduction == "mean" else total
+    out = total * (1.0 / n) if reduction == "mean" else total
 
     def _bw(g, sl=logits.slot):
         # the softmax less the one-hot targets, in e's own buffer, which the

@@ -156,9 +156,10 @@ def train_step(
 
     The batch runs as one packed ``teacher_forced_pass``: its encoder and
     decoder stacks and its loss run once over the rows of every example.
-    The loss adds the examples' cross-entropy sums in batch order and scales
-    the total by 1/tokens; each weight gradient adds its examples' terms in
-    reverse order. So a step has the bits of a tape of one loss per example.
+    The loss adds the examples' cross-entropy sums in batch order and its
+    mean multiplies the total by 1/tokens, as its backward scales the
+    gradient; each weight gradient adds its examples' terms in reverse
+    order. So a step has the bits of a tape of one loss per example.
     """
     if not batch:
         raise ShapeError("batch must be non-empty")
@@ -169,7 +170,7 @@ def train_step(
     lr = learning_rate_at(cfg, state.step + 1)
     try:
         logits, targets = teacher_forced_pass(state, batch)[1:]
-        loss = T.mul(T.cross_entropy_with_logits(logits, targets, reduction="sum"), 1.0 / len(targets))
+        loss = T.cross_entropy_with_logits(logits, targets)
         del logits  # held by the tape alone, it and its gradient go once their rules have run
         backward(loss)
     except NonFiniteError as err:

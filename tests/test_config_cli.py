@@ -338,8 +338,11 @@ def test_gradcheck_negative_control(capsys):
 
 
 def test_gradcheck_unknown_corrupt_op_exits_2(capsys):
-    assert main(["gradcheck", "--seed", "0", "--corrupt", "no_such_op"]) == 2
-    assert "no_such_op" in capsys.readouterr().err
+    # the model's residual adds are inside its products: it records no add
+    for op in ("no_such_op", "add"):
+        assert main(["gradcheck", "--seed", "0", "--corrupt", op]) == 2
+        err = capsys.readouterr().err
+        assert repr(op) in err and "records no such op" in err
 
 
 def test_profile_analytic_grid(tmp_path, capsys):

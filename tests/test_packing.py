@@ -33,6 +33,8 @@ from gbst.subword import GbstConfig
 from gbst.tensor import Parameter, Tensor, backward, no_grad, reset_tape
 from gbst.train import TrainConfig, make_batch, make_optimizer, train_step
 
+from chain_ops import add, mul, sum_all
+
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 lengths = st.lists(st.integers(1, 80), min_size=1, max_size=8)
 
@@ -63,8 +65,8 @@ def per_example_and_packed(rows, op, params):
         ups = np.random.default_rng(len(rows)).normal(size=(len(np.concatenate(rows)), outs[0].shape[1]))
         loss, first = None, 0
         for out in outs:
-            term = T.sum_all(T.mul(out, Tensor(ups[first : first + len(out)])))
-            loss = term if loss is None else T.add(loss, term)
+            term = sum_all(mul(out, Tensor(ups[first : first + len(out)])))
+            loss = term if loss is None else add(loss, term)
             first += len(out)
         backward(loss)
         grads = np.concatenate([x.grad for x in xs])
@@ -92,7 +94,7 @@ def test_matmul_rows_and_weight_gradient(counts, width, seed):
 def test_bias_add_and_gelu(counts, seed):
     b = Parameter("b", np.random.default_rng(seed + 1).normal(size=64))
     first, second = per_example_and_packed(
-        random_rows(seed, counts, 64), lambda x, ps: T.gelu(T.add(x, ps[0])), [b]
+        random_rows(seed, counts, 64), lambda x, ps: T.gelu(add(x, ps[0])), [b]
     )
     assert first == second
 
@@ -134,15 +136,15 @@ def attention_case(q_counts, kv_counts, heads, causal, seed):
         if packed:
             mask = causal_mask(max(q_counts), 0) if causal else None
             out = T.multi_head_attention(T.pack(q), T.pack(k), T.pack(v), heads, mask)
-            loss = T.sum_all(T.mul(out, Tensor(np.concatenate(ups))))
+            loss = sum_all(mul(out, Tensor(np.concatenate(ups))))
             data = out.data
         else:
             loss, outs = None, []
             for qi, ki, vi, u in zip(q, k, v, ups):
                 mask = causal_mask(len(qi), 0) if causal else None
                 outs.append(T.multi_head_attention(qi, ki, vi, heads, mask))
-                term = T.sum_all(T.mul(outs[-1], Tensor(u)))
-                loss = term if loss is None else T.add(loss, term)
+                term = sum_all(mul(outs[-1], Tensor(u)))
+                loss = term if loss is None else add(loss, term)
             data = np.concatenate([o.data for o in outs])
         backward(loss)
         grads = [np.concatenate([t.grad for t in part]) for part in (q, k, v)]
@@ -196,20 +198,22 @@ def test_packed_cross_entropy_sums(counts, vocab, seed):
     targets = [rng.integers(vocab, size=n).tolist() for n in counts]
     tokens = sum(counts)
     results = []
-    for packed in (False, True):
+    for form in ("per example", "packed", "packed mean"):
         reset_tape()
         parts = [Tensor(a.copy(), requires_grad=True) for a in logits]
-        if packed:
-            total = T.cross_entropy_with_logits(T.pack(parts), sum(targets, []), reduction="sum")
-        else:
-            total = None  # train_step's chain before packing
+        if form == "packed mean":  # train_step's loss
+            loss = T.cross_entropy_with_logits(T.pack(parts), sum(targets, []))
+        elif form == "packed":
+            loss = mul(T.cross_entropy_with_logits(T.pack(parts), sum(targets, []), reduction="sum"), 1.0 / tokens)
+        else:  # the chain before packing: each example's sum, added in order, times 1/tokens
+            total = None
             for part, target in zip(parts, targets):
                 ce = T.cross_entropy_with_logits(part, target, reduction="sum")
-                total = ce if total is None else T.add(total, ce)
-        loss = T.mul(total, 1.0 / tokens)
+                total = ce if total is None else add(total, ce)
+            loss = mul(total, 1.0 / tokens)
         backward(loss)
         results.append(digest(loss.data, np.concatenate([p.grad for p in parts])))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def desk_state():
@@ -236,9 +240,9 @@ def test_packed_pass_gradients_equal_the_per_example_chain():
             total = None
             for ex in batch:
                 ce = example_loss(state, ex, reduction="sum")
-                total = ce if total is None else T.add(total, ce)
+                total = ce if total is None else add(total, ce)
         tokens = sum(len(ex.decoder_target.ids) for ex in batch)
-        backward(T.mul(total, 1.0 / tokens))
+        backward(mul(total, 1.0 / tokens))
         grads.append({name: digest(p.grad)[0] for name, p in state.params.items()})
     assert grads[0] == grads[1]
 

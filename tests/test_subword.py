@@ -21,6 +21,8 @@ from gbst.subword import (
 )
 from gbst.tensor import Parameter, Tensor, backward, no_grad, reset_tape
 
+from chain_ops import add, mul, softmax_last_axis, sum_all, transpose_2d
+
 
 def make_cfg(d=4, **kw):
     kw.setdefault("conv_kernel_size", None)
@@ -169,23 +171,6 @@ def test_calibration_rejects_unnormalized_rows():
         calibrate_scores(Tensor(np.ones((3, 2))))
 
 
-def transpose_2d(x):
-    def _bw(g):
-        T._accumulate(x, g.T)
-
-    return T._record("transpose_2d", x.data.T.copy(), (x,), _bw)
-
-
-def softmax_last_axis(x):
-    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def _bw(g):
-        T._accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return T._record("softmax_last_axis", y, (x,), _bw)
-
-
 def calibration_chain(p):
     """softmax(P P^T) P as the chain of ops that calibrate_scores replaced."""
     return T.matmul(softmax_last_axis(T.matmul(p, transpose_2d(p))), p)
@@ -206,7 +191,7 @@ def test_calibration_bit_identical_to_chain(n, c, seed):
         out = calibrate(p)
         # P's gradient holds a second term before calibration's, so the order
         # in which calibration adds its three terms shows in the bits
-        backward(T.add(T.sum_all(T.mul(out, w_out)), T.sum_all(T.mul(p, w_p))))
+        backward(add(sum_all(mul(out, w_out)), sum_all(mul(p, w_p))))
         results.append([out.data, p.grad, logits.grad])
     for fused, chain in zip(results[1], results[0]):
         assert fused.tobytes() == chain.tobytes()
@@ -422,7 +407,7 @@ def test_gradient_flow_scorer_and_conv():
 
     reset_tape()
     out = gbst_forward(x, cfg, params)
-    backward(T.sum_all(T.mul(out.downsampled, out.downsampled)))
+    backward(sum_all(mul(out.downsampled, out.downsampled)))
     h = 1e-5
     for p in params.values():
         flat = p.data.ravel()

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import multiprocessing
@@ -19,6 +20,8 @@ from gbst.bytes_data import corrupt_spans, encode
 from gbst.model import ModelState, StackConfig, causal_mask, teacher_forced_pass
 from gbst.subword import GbstConfig
 from gbst.tensor import Parameter, Tensor, backward, no_grad, reset_tape
+
+from chain_ops import add, concat_last_axis, mul, slice_cols, softmax_last_axis, sum_all, transpose_2d
 
 
 def fd_grad(f, arr, h=1e-6):
@@ -86,7 +89,90 @@ def test_matmul_gradient_vs_fd():
     rng = np.random.default_rng(0)
     a = Parameter("a", rng.normal(size=(3, 4)))
     b = Parameter("b", rng.normal(size=(4, 2)))
-    check_op_grad(lambda: T.sum_all(T.matmul(a, b)), [a, b])
+    check_op_grad(lambda: sum_all(T.matmul(a, b)), [a, b])
+
+
+def residual_hashes(fused, counts, k, d, seed, source="rows", frozen=False, taped=True):
+    """SHA-256 of the output and of every gradient of ``residual + a @ b``,
+    as one ``matmul`` with a residual (``fused``) or as the chain of a
+    ``matmul`` and an ``add``, over rows packed at ``counts`` (unpacked for
+    one count). ``source`` gives ``a``: fresh (n, k) rows, constant rows
+    that require no gradient, the layer norm of the residual (the model's
+    attention block, where k = d) or the residual itself. ``frozen`` makes
+    ``b`` require no gradient. A second loss term over the residual, taped
+    after the op, puts a gradient in its slot first, so the order in which
+    the op's rule adds its terms shows in the bits. Untaped, only the output
+    is hashed."""
+    rng = np.random.default_rng(seed)
+    b = Parameter("b", rng.normal(size=(k, d)))
+    b.requires_grad = not frozen
+    gain, bias = Parameter("gain", rng.normal(size=d)), Parameter("bias", rng.normal(size=d))
+    rows = [[Tensor(rng.normal(size=(n, width)), requires_grad=True) for n in counts] for width in (d, k)]
+    if source == "constant":
+        for t in rows[1]:
+            t.requires_grad = False
+    ups = [Tensor(rng.normal(size=(sum(counts), d))) for _ in range(2)]
+    with contextlib.nullcontext() if taped else no_grad():
+        residual = T.pack(rows[0])
+        a = {
+            "rows": lambda: T.pack(rows[1]),
+            "constant": lambda: T.pack(rows[1]),
+            "layer_norm": lambda: T.layer_norm(residual, gain, bias),
+            "residual": lambda: residual,
+        }[source]()
+        out = T.matmul(a, b, residual) if fused else add(residual, T.matmul(a, b))
+        if not taped:
+            assert len(T.active_tape()) == 0
+            return [hashlib.sha256(out.data.tobytes()).hexdigest()]
+        backward(add(sum_all(mul(out, ups[0])), sum_all(mul(residual, ups[1]))))
+    grads = [t.grad for part in rows for t in part] + [p.grad for p in (b, gain, bias)]
+    reset_tape()
+    return [hashlib.sha256(out.data.tobytes()).hexdigest()] + [
+        None if g is None else hashlib.sha256(g.tobytes()).hexdigest() for g in grads
+    ]
+
+
+@pytest.mark.parametrize(
+    "counts, k, source, frozen",
+    [
+        ((9, 1, 30), 16, "rows", False),  # packed, one segment a single row
+        ((9, 1, 30), 64, "layer_norm", False),
+        ((17,), 8, "rows", False),  # unpacked
+        ((17,), 64, "layer_norm", False),
+        ((1,), 64, "residual", False),
+        ((12, 1, 5), 64, "residual", False),
+        ((12, 5), 16, "rows", True),  # a frozen b
+        ((12, 1, 5), 64, "layer_norm", True),
+        ((3, 8), 16, "constant", True),  # only the residual requires a gradient
+    ],
+)
+def test_matmul_residual_bit_identical_to_add_chain(counts, k, source, frozen):
+    for seed in range(3):
+        chain = residual_hashes(False, counts, k, 64, seed, source, frozen)
+        assert residual_hashes(True, counts, k, 64, seed, source, frozen) == chain
+        assert (chain[-3] is None) == frozen
+        untaped = residual_hashes(False, counts, k, 64, seed, source, frozen, taped=False)
+        assert residual_hashes(True, counts, k, 64, seed, source, frozen, taped=False) == untaped
+        assert untaped == chain[:1]
+
+
+def test_matmul_residual_gradient_vs_fd():
+    rng = np.random.default_rng(30)
+    shapes = {"a": (4, 3), "b": (3, 5), "residual": (4, 5)}
+    a, b, r = (Parameter(name, rng.normal(size=shape)) for name, shape in shapes.items())
+    w = Tensor(rng.normal(size=(4, 5)))
+    check_op_grad(lambda: sum_all(mul(T.matmul(a, b, r), w)), [a, b, r])
+
+
+def test_matmul_residual_shape_errors():
+    rng = np.random.default_rng(31)
+    a = T.pack([Tensor(rng.normal(size=(n, 3))) for n in (1, 2)])
+    b = Tensor(rng.normal(size=(3, 2)))
+    with pytest.raises(ShapeError):
+        T.matmul(a, b, T.pack([Tensor(np.zeros((n, 3))) for n in (1, 2)]))  # (3, 3) for (3, 2)
+    for other in (Tensor(np.zeros((3, 2))), T.pack([Tensor(np.zeros((n, 2))) for n in (2, 1)])):
+        with pytest.raises(ShapeError, match="offsets"):
+            T.matmul(a, b, other)
 
 
 # --- conv1d_same ------------------------------------------------------------
@@ -146,7 +232,7 @@ def test_conv_gradient_vs_fd():
     w = Tensor(rng.normal(size=(6, 2)))
 
     def loss():
-        return T.sum_all(T.mul(T.conv1d_same(x, f, b), w))
+        return sum_all(mul(T.conv1d_same(x, f, b), w))
 
     check_op_grad(loss, [x, f, b])
 
@@ -184,9 +270,9 @@ def test_pool_gradient_with_remainder_row():
     rng = np.random.default_rng(5)
     x = Parameter("x", rng.normal(size=(7, 2)))
     w = Tensor(rng.normal(size=(2, 2)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.mean_pool_1d(x, 3), w)), [x])
+    check_op_grad(lambda: sum_all(mul(T.mean_pool_1d(x, 3), w)), [x])
     reset_tape()
-    backward(T.sum_all(T.mul(T.mean_pool_1d(x, 3), w)))
+    backward(sum_all(mul(T.mean_pool_1d(x, 3), w)))
     npt.assert_array_equal(x.grad[6], 0.0)
 
 
@@ -226,7 +312,7 @@ def test_block_means_gradient_vs_fd(keys):
     rng = np.random.default_rng(21)
     x = Parameter("x", rng.normal(size=(5, 3)))
     w = Tensor(rng.normal(size=(table_rows(keys, 5), 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.block_means(x, keys), w)), [x])
+    check_op_grad(lambda: sum_all(mul(T.block_means(x, keys), w)), [x])
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
@@ -237,7 +323,7 @@ def test_block_scores_gradient_vs_fd(keys):
     scorer = Parameter("scorer", rng.normal(size=(3, 1)))
     r = Tensor(rng.normal(size=(5, len(keys))))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.block_scores(table, scorer, keys, 5)[1], r)),
+        lambda: sum_all(mul(T.block_scores(table, scorer, keys, 5)[1], r)),
         [table, scorer],
     )
 
@@ -249,7 +335,7 @@ def test_block_mix_gradient_vs_fd(keys):
     table = Parameter("table", rng.normal(size=(table_rows(keys, 5), 3)))
     r = Tensor(rng.normal(size=(5, 3)))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.block_mix(weights, table, keys), r)),
+        lambda: sum_all(mul(T.block_mix(weights, table, keys), r)),
         [weights, table],
     )
 
@@ -279,18 +365,6 @@ def test_block_ops_reject_mismatched_spans():
 # --- the softmax of block_scores --------------------------------------------
 
 
-def softmax_last_axis(x):
-    """Max-subtracted softmax over the last axis as one tape record: the
-    reference for the softmax inside block_scores and for attention's."""
-    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def _bw(g):
-        T._accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return T._record("softmax_last_axis", y, (x,), _bw)
-
-
 def test_softmax_uniform():
     # a zero scorer scores every block 0
     table = T.block_means(Tensor(np.ones((1, 3))), STREAMS["remainders"])
@@ -313,7 +387,7 @@ def test_softmax_gradient_vs_fd():
     table = Parameter("table", rng.normal(size=(4, 1)))
     w = Tensor(rng.normal(size=(1, 4)))
     keys = [(1, 0)] * 4
-    check_op_grad(lambda: T.sum_all(T.mul(T.block_scores(table, Tensor([[1.0]]), keys, 1)[1], w)), [table])
+    check_op_grad(lambda: sum_all(mul(T.block_scores(table, Tensor([[1.0]]), keys, 1)[1], w)), [table])
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
@@ -325,37 +399,7 @@ def test_block_scores_weights_bit_equal_to_softmax_of_raw(keys):
 
 
 # --- multi_head_attention ---------------------------------------------------
-# The per-head chain that multi_head_attention replaced is the reference; the
-# three ops only it uses are defined here, each one tape record.
-
-
-def transpose_2d(x):
-    def _bw(g):
-        T._accumulate(x, g.T)
-
-    return T._record("transpose_2d", x.data.T.copy(), (x,), _bw)
-
-
-def slice_cols(x, start, stop):
-    def _bw(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        T._accumulate(x, full)
-
-    return T._record("slice_cols", x.data[:, start:stop].copy(), (x,), _bw)
-
-
-def concat_last_axis(parts):
-    widths = [p.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
-
-    def _bw(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            T._accumulate(p, g[..., off : off + w].copy())
-            off += w
-
-    return T._record("concat_last_axis", out, tuple(parts), _bw)
+# The per-head chain of ops that multi_head_attention replaced is the reference.
 
 
 def unfused_attention(q, k, v, heads, mask=None):
@@ -367,9 +411,9 @@ def unfused_attention(q, k, v, heads, mask=None):
         qs = slice_cols(q, i * hd, (i + 1) * hd)
         ks = slice_cols(k, i * hd, (i + 1) * hd)
         vs = slice_cols(v, i * hd, (i + 1) * hd)
-        scores = T.mul(T.matmul(qs, transpose_2d(ks)), scale)
+        scores = mul(T.matmul(qs, transpose_2d(ks)), scale)
         if mask is not None:
-            scores = T.add(scores, Tensor(mask))
+            scores = add(scores, Tensor(mask))
         outs.append(T.matmul(softmax_last_axis(scores), vs))
     return outs[0] if heads == 1 else concat_last_axis(outs)
 
@@ -408,7 +452,7 @@ def test_attention_bit_identical_to_unfused_chain(n, m, heads, masked, seed):
         reset_tape()
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
         out = attend(q, k, v, heads, mask)
-        backward(T.sum_all(T.mul(out, w)))
+        backward(sum_all(mul(out, w)))
         outputs = (out.data, q.grad, k.grad, v.grad)
         results.append([hashlib.sha256(a.tobytes()).hexdigest() for a in outputs])
     assert results[1] == results[0]
@@ -422,7 +466,7 @@ def test_attention_backward_peak_below_one_probability_buffer():
     rng = np.random.default_rng(17)
     q, k, v = (Tensor(rng.normal(size=(r, heads * 16)), requires_grad=True) for r in (n, m, m))
     w = Tensor(rng.normal(size=(n, heads * 16)))
-    loss = T.sum_all(T.mul(T.multi_head_attention(q, k, v, heads), w))
+    loss = sum_all(mul(T.multi_head_attention(q, k, v, heads), w))
     tracemalloc.start()
     try:
         backward(loss)
@@ -462,7 +506,7 @@ def attention_hashes(n, m, heads, masked, seed, scale=None, shared=False):
         k = v = q
     mask = random_mask(rng, n, m) if masked else None
     out = T.multi_head_attention(q, k, v, heads, mask, scale)
-    backward(T.sum_all(T.mul(out, Tensor(rng.normal(size=(n, width))))))
+    backward(sum_all(mul(out, Tensor(rng.normal(size=(n, width))))))
     return [hashlib.sha256(a.tobytes()).hexdigest() for a in (out.data, q.grad, k.grad, v.grad)]
 
 
@@ -553,7 +597,7 @@ def test_attention_gradient_vs_fd(masked):
     w = Tensor(rng.normal(size=(3, 6)))
     mask = np.triu(np.full((3, 4), -1e9), k=2) if masked else None
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.multi_head_attention(q, k, v, 2, mask), w)),
+        lambda: sum_all(mul(T.multi_head_attention(q, k, v, 2, mask), w)),
         [q, k, v],
     )
 
@@ -564,7 +608,7 @@ def test_attention_shared_operand_gradient_vs_fd():
     p = Parameter("p", rng.normal(size=(5, 3)))
     w = Tensor(rng.normal(size=(5, 3)))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.multi_head_attention(p, p, p, 1, scale=1.0), w)), [p]
+        lambda: sum_all(mul(T.multi_head_attention(p, p, p, 1, scale=1.0), w)), [p]
     )
 
 
@@ -644,21 +688,21 @@ def test_parameter_is_a_named_tensor():
 def test_backward_sum_gives_ones():
     p = Parameter("p", np.arange(6.0).reshape(2, 3))
     reset_tape()
-    backward(T.sum_all(p))
+    backward(sum_all(p))
     npt.assert_array_equal(p.grad, np.ones((2, 3)))
 
 
 def test_backward_zero_product_gives_zeros():
     p = Parameter("p", np.arange(4.0).reshape(2, 2))
     reset_tape()
-    backward(T.sum_all(T.mul(p, 0.0)))
+    backward(sum_all(mul(p, 0.0)))
     npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
 def test_backward_requires_scalar():
     p = Parameter("p", np.ones((2, 2)))
     reset_tape()
-    out = T.mul(p, 2.0)
+    out = mul(p, 2.0)
     with pytest.raises(ShapeError):
         backward(out)
 
@@ -666,7 +710,7 @@ def test_backward_requires_scalar():
 def test_backward_twice_raises():
     p = Parameter("p", np.ones(3))
     reset_tape()
-    loss = T.sum_all(p)
+    loss = sum_all(p)
     backward(loss)
     # only tombstones are left: the record's output and rule are released
     assert T.active_tape().records == [(None, None, "sum_all")]
@@ -683,7 +727,7 @@ def small_graph():
     p = Parameter("p", rng.normal(size=(4, 3)))
     h = T.matmul(p, Tensor(rng.normal(size=(3, 5))))
     g = T.gelu(h)
-    return p, h, weakref.ref(g.data), T.sum_all(T.mul(g, g))
+    return p, h, weakref.ref(g.data), sum_all(mul(g, g))
 
 
 def test_backward_frees_an_intermediate_nobody_holds():
@@ -711,7 +755,7 @@ def test_forward_frees_outputs_no_rule_reads():
             del q, k, v
             assert [w() for w in watched] == [None] * 3
         assert len(T.active_tape()) == 4
-        backward(T.sum_all(out))
+        backward(sum_all(out))
         grads.append(x.grad)
     assert grads[0].tobytes() == grads[1].tobytes()
 
@@ -738,7 +782,7 @@ def test_no_rule_of_a_packed_model_loss_keeps_a_tensor():
         kept += [name for _ in tensors([c.cell_contents for c in fn.__closure__ or ()])]
         kept += [name for _ in tensors(fn.__defaults__)]
     assert kept == []
-    assert len(names) == 14  # every recording op but mul, sum_all and gelu
+    assert len(names) == 13  # every op of tensor.py that records but gelu
 
 
 def test_backward_keeps_the_grad_of_a_held_intermediate():
@@ -767,8 +811,8 @@ def test_multipath_accumulation():
     # y used twice: chain rule sums over paths
     p = Parameter("p", np.array([3.0]))
     reset_tape()
-    y = T.mul(p, 2.0)
-    backward(T.sum_all(T.add(y, y)))
+    y = mul(p, 2.0)
+    backward(sum_all(add(y, y)))
     npt.assert_array_equal(p.grad, [4.0])
 
 
@@ -777,7 +821,7 @@ def test_frozen_parameter_gets_no_grad():
     q = Parameter("q", np.ones(3))
     p.requires_grad = False
     reset_tape()
-    backward(T.sum_all(T.add(p, q)))
+    backward(sum_all(add(p, q)))
     assert p.grad is None
     npt.assert_array_equal(q.grad, np.ones(3))
 
@@ -785,7 +829,7 @@ def test_frozen_parameter_gets_no_grad():
 def test_forward_nan_raises():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteError):
-            T.mul(Tensor([np.inf]), 0.0)
+            mul(Tensor([np.inf]), 0.0)
 
 
 def test_determinism_bit_identical():
@@ -796,7 +840,7 @@ def test_determinism_bit_identical():
     def run():
         reset_tape()
         pa, pb = Parameter("a", a.copy()), Parameter("b", b.copy())
-        loss = T.sum_all(T.gelu(T.matmul(pa, pb)))
+        loss = sum_all(T.gelu(T.matmul(pa, pb)))
         backward(loss)
         return float(loss.data), pa.grad.copy(), pb.grad.copy()
 
@@ -814,14 +858,14 @@ def test_add_row_broadcast_gradient():
     x = Parameter("x", rng.normal(size=(5, 3)))
     b = Parameter("b", rng.normal(size=3))
     w = Tensor(rng.normal(size=(5, 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.add(x, b), w)), [x, b])
+    check_op_grad(lambda: sum_all(mul(add(x, b), w)), [x, b])
 
 
 def test_mul_column_broadcast_gradient():
     rng = np.random.default_rng(9)
     x = Parameter("x", rng.normal(size=(5, 3)))
     c = Parameter("c", rng.normal(size=(5, 1)))
-    check_op_grad(lambda: T.sum_all(T.mul(x, c)), [x, c])
+    check_op_grad(lambda: sum_all(mul(x, c)), [x, c])
 
 
 def test_add_positions_rows_and_grads():
@@ -836,7 +880,7 @@ def test_add_positions_rows_and_grads():
     with pytest.raises(ShapeError):
         T.add_positions(parts[1], table, 3)
     w = Tensor(rng.normal(size=(5, 2)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.add_positions(T.pack(parts), table, 1), w)), [*parts, table])
+    check_op_grad(lambda: sum_all(mul(T.add_positions(T.pack(parts), table, 1), w)), [*parts, table])
 
 
 def test_slice_cols_and_concat_inverse():
@@ -847,8 +891,8 @@ def test_slice_cols_and_concat_inverse():
     npt.assert_array_equal(merged.data, x.data)
     w = Tensor(rng.normal(size=(3, 6)))
     check_op_grad(
-        lambda: T.sum_all(
-            T.mul(concat_last_axis([slice_cols(x, 0, 2), slice_cols(x, 2, 6)]), w)
+        lambda: sum_all(
+            mul(concat_last_axis([slice_cols(x, 0, 2), slice_cols(x, 2, 6)]), w)
         ),
         [x],
     )
@@ -858,14 +902,14 @@ def test_transpose_gradient():
     rng = np.random.default_rng(12)
     x = Parameter("x", rng.normal(size=(3, 5)))
     w = Tensor(rng.normal(size=(5, 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(transpose_2d(x), w)), [x])
+    check_op_grad(lambda: sum_all(mul(transpose_2d(x), w)), [x])
 
 
 def test_embedding_gather_counts():
     table = Parameter("table", np.random.default_rng(13).normal(size=(4, 3)))
     ids = [2, 0, 2, 2]
     reset_tape()
-    backward(T.sum_all(T.embedding_gather(table, ids)))
+    backward(sum_all(T.embedding_gather(table, ids)))
     expected = np.zeros((4, 3))
     expected[2] = 3.0
     expected[0] = 1.0
@@ -887,14 +931,14 @@ def test_layer_norm_gradient_vs_fd():
     b = Parameter("b", rng.normal(size=6))
     w = Tensor(rng.normal(size=(4, 6)))
     check_op_grad(
-        lambda: T.sum_all(T.mul(T.layer_norm(x, g, b), w)), [x, g, b], rtol=1e-5
+        lambda: sum_all(mul(T.layer_norm(x, g, b), w)), [x, g, b], rtol=1e-5
     )
 
 
 def test_gelu_gradient_vs_fd():
     rng = np.random.default_rng(15)
     x = Parameter("x", rng.normal(size=(5, 3)))
-    check_op_grad(lambda: T.sum_all(T.gelu(x)), [x])
+    check_op_grad(lambda: sum_all(T.gelu(x)), [x])
 
 
 # --- ffn ---------------------------------------------------------------------
@@ -902,8 +946,8 @@ def test_gelu_gradient_vs_fd():
 
 def ffn_chain(x, w1, b1, w2, b2, residual):
     """The chain of ops that ffn replaces."""
-    hidden = T.gelu(T.add(T.matmul(x, w1), b1))
-    return T.add(residual, T.add(T.matmul(hidden, w2), b2))
+    hidden = T.gelu(add(T.matmul(x, w1), b1))
+    return add(residual, add(T.matmul(hidden, w2), b2))
 
 
 def ffn_hashes(op, counts, d, f, seed, frozen=(), shared=False):
@@ -921,7 +965,7 @@ def ffn_hashes(op, counts, d, f, seed, frozen=(), shared=False):
     residual = T.pack(rows[0])
     x = T.layer_norm(residual, Tensor(np.ones(d)), Tensor(np.zeros(d))) if shared else T.pack(rows[1])
     out = op(x, *params.values(), residual)
-    backward(T.sum_all(T.mul(out, Tensor(rng.normal(size=out.shape)))))
+    backward(sum_all(mul(out, Tensor(rng.normal(size=out.shape)))))
     grads = [t.grad for t in rows[0] + ([] if shared else rows[1])] + [p.grad for p in params.values()]
     reset_tape()
     return [hashlib.sha256(out.data.tobytes()).hexdigest()] + [
@@ -969,7 +1013,7 @@ def test_ffn_gradient_vs_fd():
     rng = np.random.default_rng(25)
     operands = ffn_operands(rng)
     w = Tensor(rng.normal(size=(4, 3)))
-    check_op_grad(lambda: T.sum_all(T.mul(T.ffn(*operands), w)), operands)
+    check_op_grad(lambda: sum_all(mul(T.ffn(*operands), w)), operands)
 
 
 def test_ffn_nan_input_raises_naming_ffn():
@@ -1033,6 +1077,6 @@ def test_no_grad_suppresses_recording():
     p = Parameter("p", np.ones(3))
     reset_tape()
     with no_grad():
-        out = T.mul(p, 2.0)
+        out = mul(p, 2.0)
     assert not out.requires_grad
     assert len(T.active_tape()) == 0
