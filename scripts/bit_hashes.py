@@ -12,11 +12,15 @@ BLAS pin needs ``OPENBLAS_NUM_THREADS=1`` in the environment.
 
 Lines printed:
 
-- ``env cpus=<n> lane=<yes|no> blas_threads=<n>``: the CPUs the process may
-  use, whether the package runs attention work on a second thread, and the
-  BLAS thread count its import pin read back (``None`` where it found no
-  setter, or where the package has no pin); this line may differ between
-  runs, the rest must not;
+- ``env cpus=<n> lane=<yes|no> blas_threads=<n> blas_core=<name>
+  simd=<list>``: the CPUs the process may use, whether the package runs
+  attention work on a second thread, the BLAS thread count its import pin
+  read back (``None`` where it found no setter, or where the package has no
+  pin), the CPU core whose kernels numpy's OpenBLAS selected (``None`` where
+  it reports none) and the SIMD extensions numpy found on the CPU and
+  dispatches to. The last two choose the kernels, so hashes from two hosts
+  agree only where both read the same. This line may differ between runs,
+  the rest must not;
 - ``init <name> sha256=<...>``: the SHA-256 over every parameter's name and
   float64 bytes of ``init_gbst_params`` at ``default_rng(0)``, the GBST-only
   init of the oracle suite, for a small config with and without a conv;
@@ -36,6 +40,8 @@ Lines printed:
   values), else each step's count.
 """
 
+import ctypes
+import glob
 import hashlib
 import os
 import sys
@@ -149,10 +155,28 @@ def decode_ops_line(docs: list[ByteSequence]) -> str:
     return f"decode ops_per_byte={shown}"
 
 
+def blas_core() -> str | None:
+    """The core name that numpy's OpenBLAS reports, read from the library in
+    which ``tensor`` finds its thread setter; None where it has none."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "lib*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
+                return getter().decode()
+    return None
+
+
 def env_line() -> str:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     lane = getattr(T, "_get_lane", lambda: None)() is not None
-    return f"env cpus={cpus} lane={'yes' if lane else 'no'} blas_threads={getattr(T, 'BLAS_THREADS', None)}"
+    simd = ",".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+    return (
+        f"env cpus={cpus} lane={'yes' if lane else 'no'} blas_threads={getattr(T, 'BLAS_THREADS', None)}"
+        f" blas_core={blas_core()} simd={simd}"
+    )
 
 
 def main() -> None:

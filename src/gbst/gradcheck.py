@@ -2,7 +2,7 @@
 
 For each parameter the analytic gradient from one backward pass is compared
 against central differences (f64, h = 1e-5) along a random direction plus at
-the entries with the largest analytic gradient. Errors are aggregated per
+the two entries with the largest analytic gradient. Errors are aggregated per
 named group; the suite passes when every group's max relative error is below
 the tolerance.
 """
@@ -90,11 +90,7 @@ def _corrupt_backward(op: str) -> None:
 
 
 def check_model_gradients(
-    state: ModelState,
-    example,
-    seed: int = 0,
-    entries_per_param: int = 2,
-    corrupt_op: str | None = None,
+    state: ModelState, example, seed: int = 0, corrupt_op: str | None = None
 ) -> dict[str, float]:
     """Max relative analytic-vs-FD error per parameter group. ``corrupt_op``
     corrupts that op's backward rule for the analytic pass (negative control)."""
@@ -118,7 +114,7 @@ def check_model_gradients(
         worst = max(worst, _relative_error(fd, analytic))
 
         flat = np.abs(grad).ravel()
-        order = np.argsort(flat)[::-1][:entries_per_param]
+        order = np.argsort(flat)[::-1][:2]
         for idx in order:
             if flat[idx] == 0.0:
                 continue

@@ -17,6 +17,9 @@ table's layout from the streams' (b, o) keys and the length. Trailing
 positions whose block holds zero fill keep that block's value and take part
 in the softmax like any other candidate.
 
+Downsampling is the same mean pool without overlap: by a rate r, it is the
+``block_means`` of the one stream (r, 0) over the latent's whole blocks.
+
 Calibration, softmax(P P^T) P over the (L, C) score matrix P, is the
 one-head, unit-scale case of ``multi_head_attention`` with q = k = v = P.
 """
@@ -97,7 +100,7 @@ class BlockCandidates:
     def __getitem__(self, c: int) -> BlockCandidateSet:
         b, o, start, stop = T.stream_spans(self.keys, self.length)[c]
         pooled = self.table.data[start:stop]
-        realigned = np.repeat(pooled, b, axis=0)[: self.length]
+        realigned = T._realign(pooled, b, self.length)
         return BlockCandidateSet(b, o, Tensor(pooled.copy()), Tensor(realigned))
 
 
@@ -185,8 +188,15 @@ def form_latent(candidates: BlockCandidates, weights: Tensor) -> Tensor:
 
 
 def downsample(latent: Tensor, rate: int) -> Tensor:
-    """Fixed mean-pool by ``rate``; trailing remainder rows are dropped."""
-    return T.mean_pool_1d(latent, rate)
+    """Fixed mean-pool by ``rate``: the block mean of the one stream
+    (rate, 0) over the latent's whole blocks. Trailing remainder rows are
+    dropped, and get a zero gradient."""
+    if rate < 1:
+        raise ConfigError(f"window must be >= 1, got {rate}")
+    n = len(latent)
+    if n < rate:
+        raise ShapeError(f"input rows {n} < window {rate}; pad first")
+    return T.block_means(latent, [(rate, 0)], n - n % rate)
 
 
 def gbst_forward(x: Tensor, cfg: GbstConfig, params: dict[str, Tensor]) -> GbstOutput:
@@ -211,12 +221,12 @@ def gbst_forward(x: Tensor, cfg: GbstConfig, params: dict[str, Tensor]) -> GbstO
     return GbstOutput(latent=latent, downsampled=downsample(latent, cfg.downsample_rate), scores=scores)
 
 
-def serialize_scores(scores: ScoreMatrix, decimals: int = 6) -> str:
+def serialize_scores(scores: ScoreMatrix) -> str:
     """Tab-separated matrix, one row per candidate stream ("b=<size>[,o=<offset>]"),
-    one column per byte position."""
+    one column per byte position, each weight to 6 decimals."""
     w = scores.mixing_weights().data
     lines = []
     for c, label in enumerate(scores.labels):
-        cells = "\t".join(f"{w[i, c]:.{decimals}f}" for i in range(w.shape[0]))
+        cells = "\t".join(f"{w[i, c]:.6f}" for i in range(w.shape[0]))
         lines.append(f"{label}\t{cells}")
     return "\n".join(lines) + "\n"

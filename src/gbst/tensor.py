@@ -9,20 +9,20 @@ every tensor that requires them.
 A tensor that requires a gradient keeps it in a ``GradSlot``, its ``grad``
 and ``requires_grad``; an op output gets one only when it is recorded. A
 record holds its output's slot, not the output, and a rule captures only
-the slots of its inputs and the arrays it reads: ``matmul``, ``gelu`` and
+the slots of its inputs and the arrays it reads: ``matmul`` and
 ``block_mix`` read their operands (``matmul`` not the residual it may
 take); ``ffn`` its input ``x``, its weights, its pre-activation ``h`` and
 its GELU ``cdf``; ``block_scores`` its operands and its output, the softmax
 of the scores it returns untaped; ``layer_norm`` its normalized rows,
 ``conv1d_same`` its padded copy of the input, attention its head-split
 copies and the loss its exponentials; ``add_positions``, ``pack``,
-``mean_pool_1d``, ``block_means`` and ``embedding_gather`` read only
-shapes, offsets, stream spans and ids. So an op output's array lives while
-a rule reads it or a caller holds it: a projection that attention copies,
-or a residual sum that only ``layer_norm`` and the next op take, dies
-during the forward. A rule binds what it keeps of its inputs as default
-arguments, so its signature names all of it; binding them makes no closure
-cells, which every untaped op of greedy decoding would pay for.
+``block_means`` and ``embedding_gather`` read only shapes, offsets, stream
+spans and ids. So an op output's array lives while a rule reads it or a
+caller holds it: a projection that attention copies, or a residual sum that
+only ``layer_norm`` and the next op take, dies during the forward. A rule
+binds what it keeps of its inputs as default arguments, so its signature
+names all of it; binding them makes no closure cells, which every untaped
+op of greedy decoding would pay for.
 
 A rule that makes a fresh gradient nothing else holds (the input gradients
 of ``matmul``, attention, ``layer_norm``, ``ffn`` and the loss) hands it to
@@ -51,14 +51,13 @@ computes its GELU output ``h * cdf`` again.
 A packed tensor holds the rows of several examples, stacked: ``pack`` makes
 one, and its ``offsets`` give each segment's first row plus the end (an
 unpacked tensor, ``offsets`` None, is one segment). ``matmul``,
-``add_positions``, ``layer_norm``, ``gelu``, ``ffn`` and
-``multi_head_attention`` keep the offsets of their row operand, and
-``cross_entropy_with_logits`` reads them. Each op is one record for the
-whole batch and keeps the bits of one record per example: elementwise and
-row-wise work (adds, ``gelu``, ``layer_norm``'s rows, the loss's softmax)
-is one numpy call over all rows, which rounds each row as a call over that
-example alone would; matrix products, attention and the loss's sums run
-segment by segment; and a
+``add_positions``, ``layer_norm``, ``ffn`` and ``multi_head_attention``
+keep the offsets of their row operand, and ``cross_entropy_with_logits``
+reads them. Each op is one record for the whole batch and keeps the bits of
+one record per example: elementwise and row-wise work (adds, the FFN's
+GELU, ``layer_norm``'s rows, the loss's softmax) is one numpy call over all
+rows, which rounds each row as a call over that example alone would; matrix
+products, attention and the loss's sums run segment by segment; and a
 gradient that sums over rows (a weight, a bias, a gain, a table of
 positions) is taken segment by segment and added in reverse segment order,
 the order in which a tape of one record per example adds them. One product
@@ -539,25 +538,6 @@ def add_positions(x: Tensor, table: Tensor, start: int = 0) -> Tensor:
     return _record("add_positions", out, (x, table), _bw, x.offsets)
 
 
-def mean_pool_1d(x: Tensor, window: int) -> Tensor:
-    """Mean over consecutive groups of ``window`` rows (VALID: no implicit
-    padding, remainder rows are dropped)."""
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    n, d = x.shape
-    if n < window:
-        raise ShapeError(f"input rows {n} < window {window}; pad first")
-    n_out = n // window
-    out = x.data[: n_out * window].reshape(n_out, window, d).mean(axis=1)
-
-    def _bw(g, sx=x.slot):
-        gx = np.zeros((n, d))
-        gx[: n_out * window] = np.repeat(g / window, window, axis=0)
-        _accumulate(sx, gx)
-
-    return _record("mean_pool_1d", out, (x,), _bw)
-
-
 # ---------------------------------------------------------------------------
 # block candidates: the block means of every (block size b, offset o) stream
 # stacked in one (P, d) table, stream after stream in the order of the ops'
@@ -567,15 +547,16 @@ def mean_pool_1d(x: Tensor, window: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def stream_spans(keys, n: int) -> list[tuple[int, int, int, int]]:
+def stream_spans(keys, n: int) -> tuple[tuple[int, int, int, int], ...]:
     """(b, o, start, stop) of each (b, o) stream of ``keys`` for length n:
-    its ceil(n/b) blocks fill rows start:stop of the table."""
+    its ceil(n/b) blocks fill rows start:stop of the table. Each block op's
+    rule holds them, so they come as a tuple, not a list with spare slots."""
     spans, start = [], 0
     for b, o in keys:
         stop = start + -(-n // b)
         spans.append((b, o, start, stop))
         start = stop
-    return spans
+    return tuple(spans)
 
 
 def _realign(blocks: np.ndarray, b: int, n: int) -> np.ndarray:
@@ -590,21 +571,25 @@ def _block_sums(g: np.ndarray, b: int, blocks: int) -> np.ndarray:
     return full.reshape((blocks, b) + g.shape[1:]).sum(axis=1)
 
 
-def block_means(x: Tensor, keys) -> Tensor:
-    """(P, d) table: per stream, the rows of x after the first o, zero-filled
-    to a multiple of b, averaged over each block of b rows."""
-    n, d = x.shape
+def block_means(x: Tensor, keys, n: int | None = None) -> Tensor:
+    """(P, d) table over rows 0..n of x, all of them by default: per stream,
+    the rows after the first o, zero-filled to a multiple of b, averaged over
+    each block of b rows. Rows n and beyond get a zero gradient. The one
+    stream (r, 0) over whole blocks, n a multiple of r, is the mean pool of
+    stride r that downsamples GBST's latent."""
+    rows, d = x.shape
+    n = rows if n is None else n
     spans = stream_spans(keys, n)
     out = np.empty((spans[-1][3], d))
     for b, o, start, stop in spans:
         buf = np.zeros(((stop - start) * b, d))
-        buf[: max(n - o, 0)] = x.data[o:]
+        buf[: max(n - o, 0)] = x.data[o:n]
         out[start:stop] = buf.reshape(stop - start, b, d).mean(axis=1)
 
     def _bw(g, sx=x.slot):
-        gx = np.zeros((n, d))
+        gx = np.zeros((rows, d))
         for b, o, start, stop in reversed(spans):
-            gx[o:] += np.repeat(g[start:stop] / b, b, axis=0)[: max(n - o, 0)]
+            gx[o:n] += np.repeat(g[start:stop] / b, b, axis=0)[: max(n - o, 0)]
         _accumulate(sx, gx)
 
     return _record("block_means", out, (x,), _bw)
@@ -989,18 +974,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accumulate(sx, inv * term, owned=True)
 
     return _record("layer_norm", out, (x, gain, bias), _bw, x.offsets)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit; it keeps the offsets of ``x``."""
-    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
-    out = x.data * cdf
-
-    def _bw(g, xd=x.data, sx=x.slot):
-        pdf = np.exp(-0.5 * xd * xd) / _SQRT_2PI
-        _accumulate(sx, g * (cdf + xd * pdf))
-
-    return _record("gelu", out, (x,), _bw, x.offsets)
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Tensor) -> Tensor:

@@ -9,7 +9,10 @@ also make a scalar loss of an op's output against a fixed upstream
 gradient.
 """
 
+import math
+
 import numpy as np
+from scipy.special import erf
 
 from gbst import tensor as T
 from gbst.tensor import Tensor
@@ -104,3 +107,31 @@ def concat_last_axis(parts: list[Tensor]) -> Tensor:
             off += w
 
     return T._record("concat_last_axis", out, tuple(parts), _bw)
+
+
+def mean_pool_1d(x: Tensor, window: int) -> Tensor:
+    """Mean over consecutive groups of ``window`` rows, the remainder rows
+    dropped: the reference for ``subword.downsample``."""
+    n, d = x.shape
+    n_out = n // window
+    out = x.data[: n_out * window].reshape(n_out, window, d).mean(axis=1)
+
+    def _bw(g, sx=x.slot):
+        gx = np.zeros((n, d))
+        gx[: n_out * window] = np.repeat(g / window, window, axis=0)
+        T._accumulate(sx, gx)
+
+    return T._record("mean_pool_1d", out, (x,), _bw)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact (erf-based) Gaussian error linear unit, the activation inside
+    ``ffn``; it keeps the offsets of ``x``."""
+    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+    out = x.data * cdf
+
+    def _bw(g, xd=x.data, sx=x.slot):
+        pdf = np.exp(-0.5 * xd * xd) / math.sqrt(2.0 * math.pi)
+        T._accumulate(sx, g * (cdf + xd * pdf))
+
+    return T._record("gelu", out, (x,), _bw, x.offsets)

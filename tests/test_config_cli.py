@@ -338,8 +338,9 @@ def test_gradcheck_negative_control(capsys):
 
 
 def test_gradcheck_unknown_corrupt_op_exits_2(capsys):
-    # the model's residual adds are inside its products: it records no add
-    for op in ("no_such_op", "add"):
+    # the model's residual adds are inside its products, and its downsampling
+    # is a block_means: it records no add and no mean_pool_1d
+    for op in ("no_such_op", "add", "mean_pool_1d"):
         assert main(["gradcheck", "--seed", "0", "--corrupt", op]) == 2
         err = capsys.readouterr().err
         assert repr(op) in err and "records no such op" in err

@@ -33,7 +33,7 @@ from gbst.subword import GbstConfig
 from gbst.tensor import Parameter, Tensor, backward, no_grad, reset_tape
 from gbst.train import TrainConfig, make_batch, make_optimizer, train_step
 
-from chain_ops import add, mul, sum_all
+from chain_ops import add, gelu, mul, sum_all
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 lengths = st.lists(st.integers(1, 80), min_size=1, max_size=8)
@@ -94,7 +94,7 @@ def test_matmul_rows_and_weight_gradient(counts, width, seed):
 def test_bias_add_and_gelu(counts, seed):
     b = Parameter("b", np.random.default_rng(seed + 1).normal(size=64))
     first, second = per_example_and_packed(
-        random_rows(seed, counts, 64), lambda x, ps: T.gelu(add(x, ps[0])), [b]
+        random_rows(seed, counts, 64), lambda x, ps: gelu(add(x, ps[0])), [b]
     )
     assert first == second
 

@@ -18,10 +18,20 @@ from gbst import tensor as T
 from gbst.errors import ConfigError, NonFiniteError, ShapeError, TapeError
 from gbst.bytes_data import corrupt_spans, encode
 from gbst.model import ModelState, StackConfig, causal_mask, teacher_forced_pass
-from gbst.subword import GbstConfig
+from gbst.subword import GbstConfig, downsample
 from gbst.tensor import Parameter, Tensor, backward, no_grad, reset_tape
 
-from chain_ops import add, concat_last_axis, mul, slice_cols, softmax_last_axis, sum_all, transpose_2d
+from chain_ops import (
+    add,
+    concat_last_axis,
+    gelu,
+    mean_pool_1d,
+    mul,
+    slice_cols,
+    softmax_last_axis,
+    sum_all,
+    transpose_2d,
+)
 
 
 def fd_grad(f, arr, h=1e-6):
@@ -237,23 +247,23 @@ def test_conv_gradient_vs_fd():
     check_op_grad(loss, [x, f, b])
 
 
-# --- mean_pool_1d -----------------------------------------------------------
+# --- downsample: block_means of one stream over whole blocks ----------------
 
 
 def test_pool_output_length():
-    out = T.mean_pool_1d(Tensor(np.arange(16.0).reshape(8, 2)), 2)
+    out = downsample(Tensor(np.arange(16.0).reshape(8, 2)), 2)
     assert out.shape == (4, 2)
 
 
 def test_pool_constant():
-    out = T.mean_pool_1d(Tensor(np.full((9, 3), 1.7)), 3)
+    out = downsample(Tensor(np.full((9, 3), 1.7)), 3)
     npt.assert_allclose(out.data, 1.7, atol=0)
 
 
 def test_pool_matches_loop():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(10, 2))
-    out = T.mean_pool_1d(Tensor(x), 3)
+    out = downsample(Tensor(x), 3)
     ref = np.zeros((3, 2))  # remainder row dropped (VALID)
     for j in range(3):
         ref[j] = x[3 * j : 3 * j + 3].mean(axis=0)
@@ -261,8 +271,10 @@ def test_pool_matches_loop():
 
 
 def test_pool_short_input_rejected():
-    with pytest.raises(ShapeError):
-        T.mean_pool_1d(Tensor(np.zeros((2, 1))), 3)
+    with pytest.raises(ShapeError, match="input rows 2 < window 3"):
+        downsample(Tensor(np.zeros((2, 1))), 3)
+    with pytest.raises(ConfigError, match="window must be >= 1, got 0"):
+        downsample(Tensor(np.zeros((2, 1))), 0)
 
 
 def test_pool_gradient_with_remainder_row():
@@ -270,10 +282,25 @@ def test_pool_gradient_with_remainder_row():
     rng = np.random.default_rng(5)
     x = Parameter("x", rng.normal(size=(7, 2)))
     w = Tensor(rng.normal(size=(2, 2)))
-    check_op_grad(lambda: sum_all(mul(T.mean_pool_1d(x, 3), w)), [x])
+    check_op_grad(lambda: sum_all(mul(downsample(x, 3), w)), [x])
     reset_tape()
-    backward(sum_all(mul(T.mean_pool_1d(x, 3), w)))
+    backward(sum_all(mul(downsample(x, 3), w)))
     npt.assert_array_equal(x.grad[6], 0.0)
+
+
+@pytest.mark.parametrize("rows", [12, 13], ids=["whole_blocks", "remainder"])
+@pytest.mark.parametrize("rate", [1, 2, 3, 4])
+def test_downsample_is_the_mean_pool_chain_bit_for_bit(rate, rows):
+    rng = np.random.default_rng(10 * rate + rows)
+    data, up = rng.normal(size=(rows, 5)), Tensor(rng.normal(size=(rows // rate, 5)))
+    results = []
+    for pool in (downsample, mean_pool_1d):
+        reset_tape()
+        x = Parameter("x", data.copy())
+        out = pool(x, rate)
+        backward(sum_all(mul(out, up)))
+        results.append((out.data.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 # --- block_means / block_scores / block_mix -------------------------------
@@ -295,24 +322,28 @@ def table_rows(keys, n):
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
 def test_block_means_match_loop(keys):
     x = np.random.default_rng(20).normal(size=(5, 3))
-    table = T.block_means(Tensor(x), keys).data
-    start = 0
-    for b, o in keys:
-        for j in range(-(-5 // b)):
-            block = np.zeros((b, 3))
-            rows = x[o + j * b : min(o + (j + 1) * b, 5)]
-            block[: len(rows)] = rows
-            npt.assert_allclose(table[start + j], block.sum(axis=0) / b, atol=1e-15)
-        start += -(-5 // b)
-    assert len(table) == start
+    for n in (5, 3):  # all rows, then the first 3 only
+        table = T.block_means(Tensor(x), keys, n).data
+        start = 0
+        for b, o in keys:
+            for j in range(-(-n // b)):
+                block = np.zeros((b, 3))
+                rows = x[o + j * b : min(o + (j + 1) * b, n)]
+                block[: len(rows)] = rows
+                npt.assert_allclose(table[start + j], block.sum(axis=0) / b, atol=1e-15)
+            start += -(-n // b)
+        assert len(table) == start
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
 def test_block_means_gradient_vs_fd(keys):
     rng = np.random.default_rng(21)
     x = Parameter("x", rng.normal(size=(5, 3)))
-    w = Tensor(rng.normal(size=(table_rows(keys, 5), 3)))
-    check_op_grad(lambda: sum_all(mul(T.block_means(x, keys), w)), [x])
+    for n in (None, 3):  # all 5 rows, then the first 3: rows 3 and 4 get none
+        x.grad = None
+        w = Tensor(rng.normal(size=(table_rows(keys, n or 5), 3)))
+        check_op_grad(lambda: sum_all(mul(T.block_means(x, keys, n), w)), [x])
+    npt.assert_array_equal(x.grad[3:], 0.0)
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
@@ -726,7 +757,7 @@ def small_graph():
     rng = np.random.default_rng(21)
     p = Parameter("p", rng.normal(size=(4, 3)))
     h = T.matmul(p, Tensor(rng.normal(size=(3, 5))))
-    g = T.gelu(h)
+    g = gelu(h)
     return p, h, weakref.ref(g.data), sum_all(mul(g, g))
 
 
@@ -782,7 +813,7 @@ def test_no_rule_of_a_packed_model_loss_keeps_a_tensor():
         kept += [name for _ in tensors([c.cell_contents for c in fn.__closure__ or ()])]
         kept += [name for _ in tensors(fn.__defaults__)]
     assert kept == []
-    assert len(names) == 13  # every op of tensor.py that records but gelu
+    assert len(names) == 12  # every recording op of tensor.py but the untaped cached_attention
 
 
 def test_backward_keeps_the_grad_of_a_held_intermediate():
@@ -840,7 +871,7 @@ def test_determinism_bit_identical():
     def run():
         reset_tape()
         pa, pb = Parameter("a", a.copy()), Parameter("b", b.copy())
-        loss = sum_all(T.gelu(T.matmul(pa, pb)))
+        loss = sum_all(gelu(T.matmul(pa, pb)))
         backward(loss)
         return float(loss.data), pa.grad.copy(), pb.grad.copy()
 
@@ -938,7 +969,7 @@ def test_layer_norm_gradient_vs_fd():
 def test_gelu_gradient_vs_fd():
     rng = np.random.default_rng(15)
     x = Parameter("x", rng.normal(size=(5, 3)))
-    check_op_grad(lambda: sum_all(T.gelu(x)), [x])
+    check_op_grad(lambda: sum_all(gelu(x)), [x])
 
 
 # --- ffn ---------------------------------------------------------------------
@@ -946,7 +977,7 @@ def test_gelu_gradient_vs_fd():
 
 def ffn_chain(x, w1, b1, w2, b2, residual):
     """The chain of ops that ffn replaces."""
-    hidden = T.gelu(add(T.matmul(x, w1), b1))
+    hidden = gelu(add(T.matmul(x, w1), b1))
     return add(residual, add(T.matmul(hidden, w2), b2))
 
 
