@@ -17,10 +17,10 @@ Lines printed:
   attention work on a second thread, the BLAS thread count its import pin
   read back (``None`` where it found no setter, or where the package has no
   pin), the CPU core whose kernels numpy's OpenBLAS selected (``None`` where
-  it reports none) and the SIMD extensions numpy found on the CPU and
-  dispatches to. The last two choose the kernels, so hashes from two hosts
-  agree only where both read the same. This line may differ between runs,
-  the rest must not;
+  it reports none, or where the package has no OpenBLAS lookup) and the SIMD
+  extensions numpy found on the CPU and dispatches to. The last two choose
+  the kernels, so hashes from two hosts agree only where both read the
+  same. This line may differ between runs, the rest must not;
 - ``init <name> sha256=<...>``: the SHA-256 over every parameter's name and
   float64 bytes of ``init_gbst_params`` at ``default_rng(0)``, the GBST-only
   init of the oracle suite, for a small config with and without a conv;
@@ -41,9 +41,7 @@ Lines printed:
 """
 
 import ctypes
-import glob
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -156,26 +154,21 @@ def decode_ops_line(docs: list[ByteSequence]) -> str:
 
 
 def blas_core() -> str | None:
-    """The core name that numpy's OpenBLAS reports, read from the library in
-    which ``tensor`` finds its thread setter; None where it has none."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "lib*openblas*.so*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_char_p
-                return getter().decode()
-    return None
+    """The core name that numpy's OpenBLAS reports, found by the library
+    lookup of ``tensor``'s thread pin; None where it reports none."""
+    getter, = getattr(T, "_openblas_functions", lambda *stems: [None])("get_corename")
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_char_p
+    return getter().decode()
 
 
 def env_line() -> str:
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     lane = getattr(T, "_get_lane", lambda: None)() is not None
     simd = ",".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
     return (
-        f"env cpus={cpus} lane={'yes' if lane else 'no'} blas_threads={getattr(T, 'BLAS_THREADS', None)}"
-        f" blas_core={blas_core()} simd={simd}"
+        f"env cpus={T._usable_cpus()} lane={'yes' if lane else 'no'}"
+        f" blas_threads={getattr(T, 'BLAS_THREADS', None)} blas_core={blas_core()} simd={simd}"
     )
 
 

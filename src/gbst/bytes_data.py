@@ -51,7 +51,6 @@ class SpanCorruptionExample:
     encoder_input: ByteSequence
     decoder_target: ByteSequence
     span_count: int
-    mean_span_length: float
 
 
 def encode(text: str) -> ByteSequence:
@@ -157,7 +156,6 @@ def corrupt_spans(
         encoder_input=ByteSequence(enc),
         decoder_target=ByteSequence(tgt),
         span_count=k,
-        mean_span_length=sum(lengths) / k,
     )
 
 
@@ -202,11 +200,3 @@ def format_example(example: SpanCorruptionExample) -> str:
     right = " ".join(str(i) for i in example.decoder_target.ids)
     return f"{left}\t{right}"
 
-
-def parse_example(line: str) -> SpanCorruptionExample:
-    left, right = line.rstrip("\n").split("\t")
-    enc = ByteSequence([int(v) for v in left.split()] if left else [])
-    tgt = ByteSequence([int(v) for v in right.split()] if right else [])
-    k = max(0, sum(1 for t in tgt.ids if is_sentinel(t)) - 1)
-    total = sum(1 for t in tgt.ids if not is_sentinel(t))
-    return SpanCorruptionExample(enc, tgt, span_count=k, mean_span_length=total / max(1, k))

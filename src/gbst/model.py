@@ -145,9 +145,6 @@ class ModelState:
     def __getitem__(self, name: str) -> Parameter:
         return self.params[name]
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def gbst_parameters(self) -> list[Parameter]:
         return [p for n, p in self.params.items() if n.startswith("gbst.")]
 
@@ -354,11 +351,11 @@ def teacher_forced_pass(
     return memory, decode_stack(state, memory, T.pack(dec)), targets
 
 
-def example_loss(state: ModelState, example: SpanCorruptionExample, reduction: str = "mean") -> Tensor:
-    """Teacher-forced cross entropy of the example's decoder target given its
-    encoder input: the decoder reads BOS and then the target shifted right."""
+def example_loss(state: ModelState, example: SpanCorruptionExample) -> Tensor:
+    """Teacher-forced mean cross entropy of the example's decoder target given
+    its encoder input: the decoder reads BOS and then the target shifted right."""
     _, logits, target = teacher_forced_pass(state, [example])
-    return T.cross_entropy_with_logits(logits, target, reduction=reduction)
+    return T.cross_entropy_with_logits(logits, target)
 
 
 def greedy_decode(
@@ -406,7 +403,9 @@ def greedy_decode(
 
 def save_checkpoint(state: ModelState, path: str) -> None:
     """Self-describing container: magic line, JSON header with configs and
-    parameter shapes, then raw little-endian float64 blobs in header order."""
+    parameter shapes, then raw little-endian float64 blobs in header order.
+    Written whole beside ``path``, synced, then moved over it: a failed or
+    killed save leaves the old file, and a failure removes the partial one."""
     header = {
         "version": CHECKPOINT_VERSION,
         "step": state.step,
@@ -417,12 +416,21 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(f"{len(blob)}\n".encode("ascii"))
-        fh.write(blob)
-        for p in state.params.values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(f"{len(blob)}\n".encode("ascii"))
+            fh.write(blob)
+            for p in state.params.values():
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def load_checkpoint(path: str) -> ModelState:

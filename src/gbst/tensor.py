@@ -121,24 +121,31 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-def _one_blas_thread() -> int | None:
-    """Set the OpenBLAS that numpy loaded to one thread, through its runtime
-    setter, and return the count it then reports; None when no setter is
-    found. Products whose sizes are not round numbers round differently at
-    two threads, and OpenBLAS caps its count at the CPUs the process may
-    use, so only one thread gives the same bits on every host; the lane puts
-    the second core to use instead."""
+def _openblas_functions(*stems: str) -> list:
+    """The functions ``stems`` (``get_corename``, say) of the OpenBLAS that
+    numpy loaded, as ctypes functions, under the first symbol name scheme
+    that has them all; a None for each where no library has them."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "lib*openblas*.so*")):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            setter, getter = (getattr(lib, name.format(verb), None) for verb in ("set", "get"))
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter(1)
-                return int(getter())
-    return None
+        for scheme in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            found = [getattr(lib, scheme.format(stem), None) for stem in stems]
+            if None not in found:
+                return found
+    return [None] * len(stems)
+
+
+def _one_blas_thread() -> int | None:
+    """Set the OpenBLAS that numpy loaded to one thread, through its runtime
+    setter, and return the count it then reports; None when no setter is
+    found. Why one thread: see the module docstring."""
+    setter, getter = _openblas_functions("set_num_threads", "get_num_threads")
+    if setter is None:
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter(1)
+    return int(getter())
 
 
 # the OpenBLAS thread count read back after the import's pin, or None
@@ -541,9 +548,11 @@ def add_positions(x: Tensor, table: Tensor, start: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 # block candidates: the block means of every (block size b, offset o) stream
 # stacked in one (P, d) table, stream after stream in the order of the ops'
-# ``keys``; ``stream_spans`` gives each stream's rows. The ops work stream by
-# stream, backward in reverse stream order, with reshape-means and one matmul
-# per stream: a stacked matmul or a cumulative-sum mean rounds differently.
+# ``keys``; ``stream_spans`` gives each stream's rows. ``_realign`` spreads
+# blocks over the positions they cover and ``_block_sums``, its adjoint, sums
+# them back. The ops work stream by stream, backward in reverse stream order,
+# with reshape-sums and one matmul per stream: a stacked matmul or a
+# cumulative-sum mean rounds differently.
 # ---------------------------------------------------------------------------
 
 
@@ -565,10 +574,11 @@ def _realign(blocks: np.ndarray, b: int, n: int) -> np.ndarray:
 
 
 def _block_sums(g: np.ndarray, b: int, blocks: int) -> np.ndarray:
-    """Adjoint of ``_realign``: zero-fill g to blocks*b rows, sum each group of b."""
-    full = np.zeros((blocks * b,) + g.shape[1:])
-    full[: g.shape[0]] = g
-    return full.reshape((blocks, b) + g.shape[1:]).sum(axis=1)
+    """Adjoint of ``_realign``: each group of b rows of g summed, g zero-filled
+    to blocks*b rows when it falls short; whole blocks are summed in place."""
+    if g.shape[0] < blocks * b:
+        g = np.concatenate([g, np.zeros((blocks * b - g.shape[0],) + g.shape[1:])])
+    return g.reshape((blocks, b) + g.shape[1:]).sum(axis=1)
 
 
 def block_means(x: Tensor, keys, n: int | None = None) -> Tensor:
@@ -579,17 +589,17 @@ def block_means(x: Tensor, keys, n: int | None = None) -> Tensor:
     stride r that downsamples GBST's latent."""
     rows, d = x.shape
     n = rows if n is None else n
+    if not 0 <= n <= rows:
+        raise ShapeError(f"block_means over {n} rows of a tensor of {rows}")
     spans = stream_spans(keys, n)
     out = np.empty((spans[-1][3], d))
-    for b, o, start, stop in spans:
-        buf = np.zeros(((stop - start) * b, d))
-        buf[: max(n - o, 0)] = x.data[o:n]
-        out[start:stop] = buf.reshape(stop - start, b, d).mean(axis=1)
+    for b, o, start, stop in spans:  # numpy's mean is this sum divided by b, bit for bit
+        out[start:stop] = _block_sums(x.data[o:n], b, stop - start) / b
 
     def _bw(g, sx=x.slot):
         gx = np.zeros((rows, d))
         for b, o, start, stop in reversed(spans):
-            gx[o:n] += np.repeat(g[start:stop] / b, b, axis=0)[: max(n - o, 0)]
+            gx[o:n] += _realign(g[start:stop] / b, b, max(n - o, 0))
         _accumulate(sx, gx)
 
     return _record("block_means", out, (x,), _bw)

@@ -1,4 +1,4 @@
-"""Span-corruption training loop with Adam/SGD, LR schedules, and freezing.
+"""Span-corruption training loop with Adam, LR schedules, and freezing.
 
 One optimizer step at a time, single tape, deterministic per seed: batches
 are drawn from a generator seeded once per run, examples are processed in
@@ -38,7 +38,6 @@ class TrainConfig:
     warmup: int = 100
     seed: int = 0
     freeze_gbst: bool = False
-    optimizer: str = "adam"
     grad_clip: float = 1.0
     corruption_rate: float = 0.15
     mean_span: float = 20.0
@@ -49,8 +48,6 @@ class TrainConfig:
         check_int_fields(self)
         if self.schedule not in ("constant", "inverse_sqrt"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         rules = {
             "batch_size": (self.batch_size >= 1, ">= 1"),
             "steps": (self.steps >= 0, ">= 0"),
@@ -98,16 +95,8 @@ class Adam:
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-class Sgd:
-    def step(self, params: list[Parameter], lr: float) -> None:
-        for p in params:
-            if p.grad is None:
-                continue
-            p.data -= lr * p.grad
-
-
-def make_optimizer(cfg: TrainConfig):
-    return Adam() if cfg.optimizer == "adam" else Sgd()
+def make_optimizer(cfg: TrainConfig) -> Adam:
+    return Adam()
 
 
 def clip_gradients(params: list[Parameter], max_norm: float) -> float:

@@ -81,7 +81,7 @@ def test_training_hooks_are_called_through_gbst_train(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
-    cfg = TR.TrainConfig(batch_size=1, steps=1, window_len=32, optimizer="adam")
+    cfg = TR.TrainConfig(batch_size=1, steps=1, window_len=32)
     TR.train_loop(tiny_state(), [encode("the contract covers the training hooks too")], cfg)
     assert calls == {attr: 1 for _, attr in hooks}
 

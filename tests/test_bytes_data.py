@@ -13,7 +13,6 @@ from gbst.bytes_data import (
     encode,
     format_example,
     is_sentinel,
-    parse_example,
     reconstruct,
     sentinel_id,
 )
@@ -150,8 +149,5 @@ def test_example_line_round_trip():
     ex = corrupt_spans(encode("span corruption keeps the decoder busy " * 3), rng_seed=5)
     line = format_example(ex)
     left, right = line.split("\t")
-    assert all(tok.isdigit() for tok in left.split())
-    back = parse_example(line)
-    assert back.encoder_input.ids == ex.encoder_input.ids
-    assert back.decoder_target.ids == ex.decoder_target.ids
-    assert back.span_count == ex.span_count
+    assert left == " ".join(map(str, ex.encoder_input.ids))
+    assert right == " ".join(map(str, ex.decoder_target.ids))

@@ -132,7 +132,7 @@ def test_rerun_same_seed_byte_identical(tmp_path):
     "key, value",
     [
         ("schedule", "bogus"),
-        ("optimizer", "rmsprop"),
+        ("optimizer", "rmsprop"),  # no longer a key at all: "unknown config key: optimizer"
         ("corruption_rate", "2"),
         ("window_len", "0"),
         ("learning_rate", "nan"),

@@ -1,3 +1,5 @@
+import statistics
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def test_param_count_matches_model():
     stack = StackConfig()
     cfg = gbst_cfg()
     report = count_flops(stack, cfg, 64)
-    assert report.params == ModelState(stack, cfg, seed=0).parameter_count()
+    assert report.params == sum(p.data.size for p in ModelState(stack, cfg, seed=0).parameters())
 
 
 def test_default_target_len():
@@ -99,8 +101,13 @@ def test_benchmark_repeatable_and_reports_memory():
         return benchmark_steps(state, cfg, 10, seq_len=96)
 
     run()  # prime allocator and BLAS before comparing timings
-    a, b = run(), run()
-    assert a.steps_per_second > 0 and b.steps_per_second > 0
-    assert abs(a.steps_per_second - b.steps_per_second) / a.steps_per_second < 0.2
-    assert a.peak_alloc_bytes > 0
-    assert a.flops_forward == count_flops(DESK, gbst_cfg(), 96).flops_forward
+    # a's and b's runs alternate, so that both medians see the same phases of the host's speed
+    a_runs, b_runs = [], []
+    for _ in range(3):
+        a_runs.append(run())
+        b_runs.append(run())
+    a, b = (statistics.median(r.steps_per_second for r in runs) for runs in (a_runs, b_runs))
+    assert all(r.steps_per_second > 0 for r in a_runs + b_runs)
+    assert abs(a - b) / a < 0.2
+    assert a_runs[0].peak_alloc_bytes > 0
+    assert a_runs[0].flops_forward == count_flops(DESK, gbst_cfg(), 96).flops_forward

@@ -252,7 +252,7 @@ def test_checkpoint_round_trip_bit_identical():
     assert loaded.step == 17
     for p in loaded.parameters():  # a native float64 copy that training can update in place
         assert p.data.dtype == np.float64 and p.data.dtype.isnative and p.data.flags.writeable
-    assert loaded.parameter_count() == state.parameter_count()
+    assert sum(p.data.size for p in loaded.parameters()) == sum(p.data.size for p in state.parameters())
     with no_grad():
         memory2, _ = encode_input(loaded, ids)
         logits2 = decode_stack(loaded, memory2, [BOS_ID, 102, 111])
@@ -275,6 +275,19 @@ def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
     assert list(loaded.params) == list(state.params)
     for name, p in state.params.items():
         assert loaded[name].data.tobytes() == p.data.tobytes()
+
+
+def test_failed_save_leaves_the_old_checkpoint_whole(tmp_path):
+    path = tmp_path / "checkpoint.gbst"
+    save_checkpoint(desk_state(seed=1), str(path))
+    good = path.read_bytes()
+    state = desk_state(seed=2)
+    last = state.parameters()[-1]
+    last.data = np.full(last.data.shape, "x")  # its blob, written after the header, is no float64
+    with pytest.raises(ValueError):
+        save_checkpoint(state, str(path))
+    assert path.read_bytes() == good
+    assert os.listdir(tmp_path) == ["checkpoint.gbst"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -322,7 +322,9 @@ def table_rows(keys, n):
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
 def test_block_means_match_loop(keys):
     x = np.random.default_rng(20).normal(size=(5, 3))
-    for n in (5, 3):  # all rows, then the first 3 only
+    # all rows, then the first 4 and 3 only: the (1, 0) streams and (2, 0) at
+    # n = 4 are whole blocks, summed in place; (2, 0) at n = 5 is zero-filled
+    for n in (5, 4, 3):
         table = T.block_means(Tensor(x), keys, n).data
         start = 0
         for b, o in keys:
@@ -333,6 +335,13 @@ def test_block_means_match_loop(keys):
                 npt.assert_allclose(table[start + j], block.sum(axis=0) / b, atol=1e-15)
             start += -(-n // b)
         assert len(table) == start
+
+
+def test_block_means_refuses_rows_it_does_not_have():
+    x = Tensor(np.ones((3, 2)))
+    for n in (5, -1):
+        with pytest.raises(ShapeError, match="block_means"):
+            T.block_means(x, [(1, 0), (2, 0)], n)
 
 
 @pytest.mark.parametrize("keys", STREAMS.values(), ids=STREAMS.keys())
